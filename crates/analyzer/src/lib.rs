@@ -625,8 +625,8 @@ mod tests {
         assert!(rules_for("crates/nn/src/tape.rs").panic_indexing);
         assert!(!rules_for("crates/nn/src/tensor.rs").panic_indexing);
         assert!(rules_for("crates/nn/src/tensor.rs").panic_calls);
-        assert!(!rules_for("crates/bench/src/bin/fig2.rs").panic_calls);
-        assert!(rules_for("crates/bench/src/bin/fig2.rs").float_eq);
+        assert!(!rules_for("crates/bench/src/bin/report.rs").panic_calls);
+        assert!(rules_for("crates/bench/src/bin/report.rs").float_eq);
     }
 
     #[test]
@@ -637,7 +637,7 @@ mod tests {
         // nn is determinism-scoped: segment/index-plan iteration order feeds
         // gradient accumulation order, which feeds the training curve.
         assert!(rules_for("crates/nn/src/tensor.rs").determinism);
-        assert!(!rules_for("crates/bench/src/bin/fig2.rs").determinism);
+        assert!(!rules_for("crates/bench/src/bin/report.rs").determinism);
         // Hot-loop allocation: the kernel files only.
         assert!(rules_for("crates/nn/src/tensor.rs").hot_loop_alloc);
         assert!(rules_for("crates/nn/src/plan.rs").hot_loop_alloc);
@@ -651,7 +651,7 @@ mod tests {
         assert!(!rules_for("crates/core/src/bin/train.rs").must_use);
         // error-discard: everywhere except binaries.
         assert!(rules_for("crates/nn/src/tensor.rs").error_discard);
-        assert!(!rules_for("crates/bench/src/bin/fig2.rs").error_discard);
+        assert!(!rules_for("crates/bench/src/bin/report.rs").error_discard);
         // io-seam: the seam crates' library code only — never binaries,
         // never the faults crate itself.
         assert!(rules_for("crates/core/src/checkpoint.rs").io_seam);

@@ -46,7 +46,7 @@ fn bench_inference(c: &mut Criterion) {
         // Pre-compiled: the cost of the forward pass alone.
         let compiled = model.compile(&sample.scenario);
         group.bench_with_input(BenchmarkId::new("forward", &name), &compiled, |b, comp| {
-            b.iter(|| model.predict_compiled(comp));
+            b.iter(|| model.predict_batch_compiled(&[comp]));
         });
         // End-to-end: compile + forward (what a fresh scenario costs).
         group.bench_with_input(BenchmarkId::new("end_to_end", &name), &sample, |b, s| {

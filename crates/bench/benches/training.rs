@@ -47,10 +47,8 @@ fn bench_train_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// The batched CSR kernel vs the per-sample path, and its thread scaling.
-/// Throughput is samples/s over a fixed nsfnet14 sweep (epochs × samples),
-/// so the two groups are directly comparable: the acceptance bar for the
-/// batched refactor is read straight off this report.
+/// Thread scaling of the batched CSR kernel. Throughput is samples/s over
+/// a fixed nsfnet14 sweep (epochs × samples).
 fn bench_batched_kernel(c: &mut Criterion) {
     let mut cfg = GenConfig::new(TopologySpec::Nsfnet, 1, 3);
     cfg.sim.duration_s = 20.0;
@@ -59,28 +57,17 @@ fn bench_batched_kernel(c: &mut Criterion) {
     let epochs = 2usize;
     let work = (samples.len() * epochs) as u64;
 
-    let train_once = |samples: &[routenet_core::Sample], batched: bool, threads: usize| {
+    let train_once = |samples: &[routenet_core::Sample], threads: usize| {
         let mut model = RouteNet::new(RouteNetConfig::default());
         let cfg = TrainConfig {
             epochs,
             batch_size: samples.len(),
             threads,
-            batched,
             keep_best: false,
             ..TrainConfig::default()
         };
         train(&mut model, samples, &[], &cfg).expect("train")
     };
-
-    let mut group = c.benchmark_group("batched_vs_per_sample");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(work));
-    for (name, batched) in [("per_sample", false), ("batched", true)] {
-        group.bench_with_input(BenchmarkId::new(name, "nsfnet14x8"), &samples, |b, s| {
-            b.iter(|| train_once(s, batched, 1));
-        });
-    }
-    group.finish();
 
     let mut group = c.benchmark_group("batched_thread_sweep");
     group.sample_size(10);
@@ -100,7 +87,7 @@ fn bench_batched_kernel(c: &mut Criterion) {
             BenchmarkId::new("nsfnet14x8_threads", threads),
             &samples,
             |b, s| {
-                b.iter(|| train_once(s, true, threads));
+                b.iter(|| train_once(s, threads));
             },
         );
     }

@@ -1,7 +1,6 @@
 //! One-shot evaluation report: generates the paper-protocol datasets, trains
 //! RouteNet **once**, and writes every figure/table artifact into
-//! `results/` (the per-figure binaries are self-contained equivalents that
-//! each train their own model).
+//! `results/`.
 //!
 //! ```text
 //! cargo run -p routenet-bench --release --bin report -- \
@@ -9,16 +8,24 @@
 //! ```
 //!
 //! Outputs:
-//! - `results/fig2.csv` — (true, predicted) scatter on an unseen Geant2 sample
-//! - `results/fig3.csv` — relative-error CDFs per topology and predictor
-//! - `results/fig4.csv` — Top-10 paths with more delay
-//! - `results/table1.txt` — generalization summary table
+//! - `results/fig2.csv` — Fig. 2: (true, predicted) scatter on an unseen
+//!   Geant2 sample (slope, intercept, r and R² go to `summary.txt`)
+//! - `results/fig3.csv` — Fig. 3: relative-error CDFs per topology and
+//!   predictor, plus the paper's all-topology `RouteNet/all` series
+//! - `results/fig4.csv` — Fig. 4: Top-10 paths with more delay, with routes
+//!   (the overlap with the true top 10 goes to `summary.txt`)
+//! - `results/table1.txt` — the §2.1 generalization table: RouteNet vs
+//!   M/M/1 vs M/G/1 vs FNN per topology
 //! - `results/training.csv` — loss curve
 //! - `results/model.json` — the trained checkpoint
 //! - `results/summary.txt` — headline numbers
+//!
+//! The Fig. 2 scatter and Fig. 3 CDFs are also drawn as terminal charts on
+//! stderr.
 
 use routenet_bench::{interrupt, run_experiment_with_control, scaled_protocol, summary_row, Args};
 use routenet_core::prelude::*;
+use routenet_netgraph::NodeId;
 use routenet_obs::Telemetry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -114,6 +121,16 @@ fn main() {
     write(&out_dir.join("fig2.csv"), &s);
     let fig2_r2 = routenet_core::metrics::r_squared(&ys, &xs);
     let fig2_r = routenet_core::metrics::pearson(&ys, &xs);
+    // Least-squares fit predicted = slope * true + intercept (ideal: 1, 0).
+    let n = xs.len() as f64;
+    let (mx, my) = (xs.iter().sum::<f64>() / n, ys.iter().sum::<f64>() / n);
+    let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+    let fig2_slope = sxy / sxx;
+    let fig2_intercept = my - fig2_slope * mx;
+    let pts: Vec<(f64, f64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+    eprintln!("# fig2: predicted (y) vs simulated (x) delay, seconds; '.' = ideal diagonal");
+    eprint!("{}", routenet_bench::plot::scatter(&pts, 64, 20));
 
     // ---- fig3: CDFs ------------------------------------------------------
     let mut s = String::from("series,relative_error,cdf\n");
@@ -151,29 +168,76 @@ fn main() {
         }
     }
     emit_eval_telemetry(&tel, "", &per_topology);
+    // The paper's figure aggregates all three topologies.
+    let all = collect_predictions(&exp.model, &exp.data.eval_all());
+    for (x, f) in cdf_points(&relative_errors(&all.delay_pred, &all.delay_true), 50) {
+        writeln!(s, "RouteNet/all,{x:.6},{f:.4}").unwrap();
+    }
+    writeln!(
+        summaries,
+        "{}",
+        summary_row("RouteNet ALL", &all.delay_summary())
+    )
+    .unwrap();
     write(&out_dir.join("fig3.csv"), &s);
+    let geant2_cdf = |pname: &str| {
+        let ev = &per_topology[&format!("{pname}/Geant2-24-unseen")];
+        cdf_points(&relative_errors(&ev.delay_pred, &ev.delay_true), 50)
+    };
+    let (rn_cdf, mm1_cdf) = (geant2_cdf("RouteNet"), geant2_cdf("MM1"));
+    eprintln!("# fig3: CDF of relative delay error on UNSEEN Geant2 (right = worse):");
+    eprint!(
+        "{}",
+        routenet_bench::plot::cdf_chart(&[("RouteNet", &rn_cdf), ("M/M/1", &mm1_cdf)], 60, 16)
+    );
 
     // ---- fig4: top-10 ----------------------------------------------------
-    let top = top_n_paths_by_delay(&exp.model, sample, 10);
-    let mut s = String::from("rank,src,dst,predicted_delay_ms,simulated_delay_ms,hops\n");
-    for (rank, (src, dst, pred, truth)) in top.iter().enumerate() {
-        let hops = sample.scenario.routing.hops(
-            routenet_netgraph::NodeId(*src),
-            routenet_netgraph::NodeId(*dst),
-        );
+    let top_n = 10;
+    let top = top_n_paths_by_delay(&exp.model, sample, top_n);
+    let mut s = String::from("rank,src,dst,predicted_delay_ms,simulated_delay_ms,hops,route\n");
+    for (rank, &(src, dst, pred, truth)) in top.iter().enumerate() {
+        let (src, dst) = (NodeId(src), NodeId(dst));
+        let route: Vec<String> = sample
+            .scenario
+            .routing
+            .node_path(&sample.scenario.graph, src, dst)
+            .expect("validated samples route every pair over existing links")
+            .iter()
+            .map(|n| n.to_string())
+            .collect();
         writeln!(
             s,
-            "{},{},{},{:.2},{:.2},{}",
+            "{},{},{},{:.2},{:.2},{},{}",
             rank + 1,
-            src,
-            dst,
+            src.0,
+            dst.0,
             pred * 1e3,
             truth * 1e3,
-            hops
+            sample.scenario.routing.hops(src, dst),
+            route.join(">")
         )
         .unwrap();
     }
     write(&out_dir.join("fig4.csv"), &s);
+    // Ranking quality: how many of the predicted top-N are in the true top-N?
+    let mut by_truth: Vec<(usize, f64)> = sample
+        .targets
+        .iter()
+        .map(|t| t.delay_s)
+        .enumerate()
+        .collect();
+    by_truth.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let truth_top: Vec<usize> = by_truth.iter().take(top_n).map(|&(i, _)| i).collect();
+    let pairs = sample.scenario.pairs();
+    let fig4_hits = top
+        .iter()
+        .filter(|&&(src, dst, _, _)| {
+            pairs
+                .iter()
+                .position(|&(a, b)| a.0 == src && b.0 == dst)
+                .is_some_and(|i| truth_top.contains(&i))
+        })
+        .count();
 
     // ---- table1 ----------------------------------------------------------
     let nsf_train: Vec<Sample> = exp
@@ -260,7 +324,15 @@ fn main() {
     .unwrap();
     writeln!(
         s,
-        "fig2 (unseen Geant2 sample): r={fig2_r:.4} R2={fig2_r2:.4}"
+        "fig2 (unseen Geant2 sample, intensity={:.3}): n={} slope={fig2_slope:.3} \
+         intercept={fig2_intercept:.4}s r={fig2_r:.4} R2={fig2_r2:.4}",
+        sample.intensity,
+        xs.len()
+    )
+    .unwrap();
+    writeln!(
+        s,
+        "fig4 top-{top_n} overlap with ground truth: {fig4_hits}/{top_n}"
     )
     .unwrap();
     writeln!(s, "\nper-topology summaries:\n{summaries}").unwrap();

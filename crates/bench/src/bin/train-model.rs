@@ -20,7 +20,7 @@ fn main() {
         eprintln!(
             "usage: train-model --train <jsonl> [--val <jsonl>] --out <model.json> \
              [--lenient] [--checkpoint <ckpt>] [--resume-from <ckpt>] [--no-telemetry] \
-             [--threads <n>] [--sequential]"
+             [--threads <n>]"
         );
         std::process::exit(2);
     };
@@ -91,10 +91,6 @@ fn main() {
         batch_size: args.get_or("batch", 8usize),
         lr: args.get_or("lr", 2e-3f64),
         threads: args.get_or("threads", 0usize),
-        // `--sequential` forces the per-sample execution path; the result is
-        // bit-identical to the default batched kernel, just slower — kept as
-        // a flag so CI can byte-diff the two (scripts/check.sh).
-        batched: args.get("sequential").is_none(),
         verbose: true,
         checkpoint_path: args.get("checkpoint").map(str::to_string),
         checkpoint_every: args.get_or("checkpoint-every", 1usize),

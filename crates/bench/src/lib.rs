@@ -1,18 +1,15 @@
 //! # routenet-bench
 //!
-//! Shared harness behind the figure/table binaries. Each binary regenerates
-//! one artifact of the paper's evaluation:
+//! Shared harness behind the experiment binaries. Each binary regenerates
+//! artifacts of the paper's evaluation:
 //!
 //! | Binary   | Paper artifact |
 //! |----------|----------------|
-//! | `fig2`   | Regression plot of predicted vs. true delay (Geant2 sample) |
-//! | `fig3`   | CDF of relative error per evaluation topology |
-//! | `fig4`   | Top-10 paths with more delay |
-//! | `table1` | Generalization summary: RouteNet vs M/M/1 vs FNN per topology |
+//! | `report` | Figs. 2–4 and Table 1 from one trained model: `results/fig2.csv` (predicted vs. true delay, Geant2 sample), `fig3.csv` (relative-error CDFs per topology), `fig4.csv` (Top-10 paths with more delay), `table1.txt` (RouteNet vs M/M/1 vs FNN per topology), `summary.txt` |
 //! | `cost`   | Inference vs packet-level simulation wall-clock |
 //! | `ablation` | Error vs T iterations and state dims |
 //! | `varsize` | Error vs topology size on fresh 10..=50-node graphs |
-//! | `report` | Everything above, trained once, written to `results/` |
+//! | `drops`  | Drop-probability head vs M/M/1/K blocking |
 //! | `train-model` / `predict` / `probe` / `pilot` | File-based model tooling and dev checks |
 //!
 //! All binaries accept `--scale <f>` (dataset-size multiplier), `--epochs
@@ -88,7 +85,7 @@ pub fn scaled_protocol(scale: f64, seed: u64) -> ProtocolConfig {
     }
 }
 
-/// End-to-end experiment context shared by the figure binaries: generated
+/// End-to-end experiment context shared by the experiment binaries: generated
 /// datasets plus a RouteNet trained per the paper's protocol.
 pub struct Experiment {
     /// The generated datasets.

@@ -4,11 +4,12 @@
 //! tensors row-block-wise and rebases every position's gather/scatter
 //! indices into the concatenated row space — a CSR layout where
 //! [`SegmentPlan`]s are the row pointers. [`crate::model::RouteNet::forward_batch`]
-//! then replays the *same* op sequence as the per-sample forward over the
-//! concatenated rows, using segment-aware ops for every cross-row reduction
-//! that touches a parameter, so per-sample losses and gradients recovered
-//! from a batched tape are bitwise identical to running each sample on its
-//! own tape (see DESIGN.md "Batched execution & memory arenas").
+//! then replays the *same* op sequence as the reference per-sample forward
+//! over the concatenated rows, using segment-aware ops for every cross-row
+//! reduction that touches a parameter, so per-sample losses and gradients
+//! recovered from a batched tape are bitwise identical to running each
+//! sample as a batch of one (see DESIGN.md "Batched execution & memory
+//! arenas").
 
 use crate::model::CompiledScenario;
 use routenet_nn::{IndexPlan, SegmentPlan, Tensor};
@@ -329,9 +330,16 @@ mod tests {
         assert_eq!(b.n_paths, 2);
         assert_eq!(b.max_len, 1);
         assert_eq!(b.sample_path_range(0), (0, 2));
-        let batched = m.predict_batch_compiled(&[&compiled]);
-        assert_eq!(batched.len(), 1);
-        assert_bitwise(&batched[0], &m.predict_compiled(&compiled));
+        // The batch of one reproduces the dense reference forward bitwise.
+        let mut sess = routenet_nn::Session::new(m.store());
+        let batched = m.forward_batch(&mut sess, &b);
+        let mut ref_sess = routenet_nn::Session::new(m.store());
+        let reference = m.forward(&mut ref_sess, &compiled);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(sess.tape.value(batched)),
+            bits(ref_sess.tape.value(reference))
+        );
     }
 
     #[test]
@@ -357,7 +365,7 @@ mod tests {
         );
         let batched = m.predict_batch_compiled(&refs);
         for (preds, c) in batched.iter().zip(&compiled) {
-            assert_bitwise(preds, &m.predict_compiled(c));
+            assert_bitwise(preds, &m.predict_batch_compiled(&[c])[0]);
         }
     }
 
@@ -386,8 +394,7 @@ mod tests {
         let batched = m.predict_batch_compiled(&refs);
         assert_eq!(batched.len(), 4);
         for (preds, sc) in batched.iter().zip(&queries) {
-            let fresh = m.compile(sc);
-            assert_bitwise(preds, &m.predict_compiled(&fresh));
+            assert_bitwise(preds, &m.predict_scenario(sc));
         }
         // Different traffic must actually produce different answers — the
         // shared plan is an indexing cache, not a result cache.

@@ -358,7 +358,7 @@ mod tests {
     fn batch_sweep_matches_per_sample_predictions() {
         use crate::model::{RouteNet, RouteNetConfig};
         // RouteNet's sweep-aware predict_batch (arena-reused tape, cached
-        // message-passing index) must reproduce per-sample predict exactly.
+        // message-passing index) must reproduce one-at-a-time predict exactly.
         let mut model = RouteNet::new(RouteNetConfig {
             link_state_dim: 4,
             path_state_dim: 4,

@@ -289,8 +289,13 @@ impl RouteNet {
         }
     }
 
-    /// Build the forward graph for a compiled scenario on `sess`'s tape.
+    /// Build the forward graph for one compiled scenario on `sess`'s tape.
     /// Returns the `n_paths x out_dim` normalized prediction variable.
+    ///
+    /// Reference only: every production path (training, evaluation,
+    /// prediction, serving) runs [`RouteNet::forward_batch`], with a single
+    /// sample as a batch of one. This dense per-sample form is kept as the
+    /// independent oracle the batched-equivalence tests check against.
     pub fn forward(&self, sess: &mut Session, compiled: &CompiledScenario) -> Var {
         let idx = &compiled.tensors;
         // Copy-in leaves keep the tape's buffer pool balanced when the
@@ -335,13 +340,14 @@ impl RouteNet {
     /// Returns the `total_paths x out_dim` normalized prediction variable,
     /// sample row blocks in pack order.
     ///
-    /// This replays exactly the op sequence of [`RouteNet::forward`] over
-    /// the concatenated rows; every op whose reduction crosses sample
-    /// boundaries while touching a parameter uses its segment-aware variant,
-    /// which iterates segments in sample order. Per-sample output rows and
-    /// the per-segment parameter gradients recovered via
-    /// [`Session::param_grads_seg`] are therefore bitwise identical to
-    /// running each sample through [`RouteNet::forward`] on its own tape.
+    /// This is the one execution path of the model: a single sample is a
+    /// batch of one. It replays exactly the op sequence of the reference
+    /// [`RouteNet::forward`] over the concatenated rows; every op whose
+    /// reduction crosses sample boundaries while touching a parameter uses
+    /// its segment-aware variant, which iterates segments in sample order.
+    /// Per-sample output rows and the per-segment parameter gradients
+    /// recovered via [`Session::param_grads_seg`] are therefore bitwise
+    /// identical whatever else is packed into the batch.
     pub fn forward_batch(&self, sess: &mut Session, batch: &BatchedScenario) -> Var {
         let mut link_state = sess.input_copied(batch.link_x());
         let mut path_state = sess.input_copied(batch.path_x());
@@ -375,30 +381,13 @@ impl RouteNet {
         self.readout.forward_seg(sess, path_state, batch.path_seg())
     }
 
-    /// Predict denormalized KPIs for a raw scenario.
+    /// Predict denormalized KPIs for a raw scenario (a batch of one). A
+    /// scenario that routes no pairs yields no predictions.
     pub fn predict_scenario(&self, scenario: &Scenario) -> Vec<Prediction> {
-        let compiled = self.compile(scenario);
-        self.predict_compiled(&compiled)
-    }
-
-    /// Predict denormalized KPIs for a pre-compiled scenario.
-    pub fn predict_compiled(&self, compiled: &CompiledScenario) -> Vec<Prediction> {
-        self.predict_compiled_reuse(compiled, Tape::new()).0
-    }
-
-    /// [`RouteNet::predict_compiled`] threading an arena-backed tape through
-    /// the call: the tape is reset (recycling its value buffers) before the
-    /// forward pass and returned afterwards, so an eval sweep reuses one
-    /// allocation arena instead of building a fresh tape per sample.
-    pub fn predict_compiled_reuse(
-        &self,
-        compiled: &CompiledScenario,
-        arena: Tape,
-    ) -> (Vec<Prediction>, Tape) {
-        let mut sess = Session::with_tape(&self.store, arena);
-        let out = self.forward(&mut sess, compiled);
-        let preds = self.extract_predictions(sess.tape.value(out));
-        (preds, sess.into_tape())
+        self.predict_batch(&[scenario])
+            .into_iter()
+            .next()
+            .unwrap_or_default()
     }
 
     /// Predict denormalized KPIs for many pre-compiled scenarios in ONE
@@ -407,18 +396,20 @@ impl RouteNet {
     /// depths pack fine — and returns one prediction vector per input, in
     /// input order. By the batched-equivalence contract (see DESIGN.md
     /// "Batched execution & memory arenas"), each sample's predictions are
-    /// bitwise identical to [`RouteNet::predict_compiled`] on that sample
-    /// alone, for any batch composition — the property that lets a serving
-    /// daemon micro-batch concurrent queries without perturbing answers.
+    /// bitwise identical to predicting that sample as a batch of one, for
+    /// any batch composition — the property that lets a serving daemon
+    /// micro-batch concurrent queries without perturbing answers. Every
+    /// scenario must route at least one pair ([`BatchedScenario::pack`]).
     pub fn predict_batch_compiled(&self, compiled: &[&CompiledScenario]) -> Vec<Vec<Prediction>> {
         self.predict_batch_compiled_reuse(compiled, Tape::new()).0
     }
 
     /// [`RouteNet::predict_batch_compiled`] threading an arena-backed tape
-    /// through the call, mirroring [`RouteNet::predict_compiled_reuse`]: a
-    /// long-lived caller (the serving daemon's batch loop) reuses one
-    /// allocation arena across micro-batches instead of building a fresh
-    /// tape per batch. An empty slice is a no-op returning the arena.
+    /// through the call: the tape is reset (recycling its value buffers)
+    /// before the forward pass and returned afterwards, so a long-lived
+    /// caller (an eval sweep, the serving daemon's batch loop) reuses one
+    /// allocation arena instead of building a fresh tape per pass. An empty
+    /// slice is a no-op returning the arena.
     pub fn predict_batch_compiled_reuse(
         &self,
         compiled: &[&CompiledScenario],
@@ -504,17 +495,23 @@ impl KpiPredictor for RouteNet {
         self.predict_scenario(scenario)
     }
 
-    /// Sweep-aware override: one arena-backed tape is threaded through the
-    /// whole sweep (zero steady-state tape allocation), and the structural
-    /// message-passing index is rebuilt only when the routing changes
-    /// between consecutive scenarios — eval sets are usually many traffic
-    /// matrices over a handful of topologies, so grouping by topology
-    /// upstream turns recompilation into a per-group cost.
+    /// Sweep-aware override: each scenario runs as a batch of one, one
+    /// arena-backed tape is threaded through the whole sweep (zero
+    /// steady-state tape allocation), and the structural message-passing
+    /// index is rebuilt only when the routing changes between consecutive
+    /// scenarios — eval sets are usually many traffic matrices over a
+    /// handful of topologies, so grouping by topology upstream turns
+    /// recompilation into a per-group cost. A scenario that routes no pairs
+    /// yields an empty prediction vector.
     fn predict_batch(&self, scenarios: &[&Scenario]) -> Vec<Vec<Prediction>> {
         let mut arena = Tape::new();
         let mut cached: Option<(&RoutingScheme, PathTensors)> = None;
         let mut out = Vec::with_capacity(scenarios.len());
         for sc in scenarios {
+            if sc.n_pairs() == 0 {
+                out.push(Vec::new());
+                continue;
+            }
             let hit = matches!(&cached, Some((r, _)) if *r == &sc.routing);
             if !hit {
                 cached = Some((&sc.routing, PathTensors::build(sc)));
@@ -522,9 +519,9 @@ impl KpiPredictor for RouteNet {
             // lint: allow(panic, reason = "cached is installed on miss just above")
             let index = &cached.as_ref().expect("index cached").1;
             let compiled = self.compile_with_index(sc, index.clone());
-            let (preds, returned) = self.predict_compiled_reuse(&compiled, arena);
+            let (preds, returned) = self.predict_batch_compiled_reuse(&[&compiled], arena);
             arena = returned;
-            out.push(preds);
+            out.extend(preds);
         }
         out
     }
@@ -712,6 +709,27 @@ mod tests {
             let preds = model.predict_scenario(&sc);
             assert_eq!(preds.len(), n * (n - 1));
             assert!(preds.iter().all(|p| p.delay_s.is_finite()));
+        }
+    }
+
+    #[test]
+    fn scenario_routing_no_pairs_predicts_nothing() {
+        let model = tiny_model(tiny_config());
+        let g = routenet_netgraph::Graph::new("one", 1);
+        let routing = shortest_path_routing(&g).unwrap();
+        let sc = Scenario {
+            graph: g,
+            routing,
+            traffic: TrafficMatrix::zeros(1),
+        };
+        assert!(model.predict_scenario(&sc).is_empty());
+        let full = scenario();
+        let preds = model.predict_batch(&[&sc, &full]);
+        assert!(preds[0].is_empty());
+        let alone = model.predict_scenario(&full);
+        assert_eq!(preds[1].len(), alone.len());
+        for (a, b) in preds[1].iter().zip(&alone) {
+            assert_eq!(a.delay_s.to_bits(), b.delay_s.to_bits());
         }
     }
 

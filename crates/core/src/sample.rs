@@ -52,7 +52,9 @@ impl Scenario {
         self.graph.rebuild_index();
     }
 
-    /// Cross-validate the three components against each other.
+    /// Cross-validate the three components against each other. A scenario
+    /// that routes no pairs (e.g. a one-node graph) is rejected: it has
+    /// nothing to predict and nothing to learn from.
     #[must_use = "an unchecked validation result defeats the purpose of validating"]
     pub fn validate(&self) -> Result<(), String> {
         if self.traffic.n_nodes() != self.graph.n_nodes() {
@@ -64,7 +66,11 @@ impl Scenario {
         }
         self.routing
             .validate(&self.graph)
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())?;
+        if self.n_pairs() == 0 {
+            return Err("scenario routes no pairs".into());
+        }
+        Ok(())
     }
 }
 
@@ -182,6 +188,19 @@ mod tests {
         let mut s = scenario();
         s.traffic = TrafficMatrix::zeros(5);
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn scenario_without_pairs_is_rejected() {
+        let g = Graph::new("one", 1);
+        let routing = routenet_netgraph::routing::shortest_path_routing(&g).unwrap();
+        let s = Scenario {
+            graph: g,
+            routing,
+            traffic: TrafficMatrix::zeros(1),
+        };
+        assert_eq!(s.n_pairs(), 0);
+        assert_eq!(s.validate().unwrap_err(), "scenario routes no pairs");
     }
 
     #[test]

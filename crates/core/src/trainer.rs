@@ -68,21 +68,12 @@ pub struct TrainConfig {
     /// (validation loss, or training loss without a validation set).
     /// `None` disables.
     pub patience: Option<usize>,
-    /// Worker threads for within-batch data parallelism (each sample's
-    /// forward/backward is independent; gradients are reduced in sample
-    /// order, so results are bit-identical for any thread count).
+    /// Worker threads for within-batch data parallelism: each worker packs
+    /// its share of a minibatch into one [`BatchedScenario`] and runs a
+    /// single forward/backward over it. Per-sample gradients are reduced in
+    /// sample order, so results are bit-identical for any thread count.
     /// 0 = use all available cores; 1 = sequential.
     pub threads: usize,
-    /// Pack each worker's share of a minibatch into one
-    /// [`BatchedScenario`] and run a single forward/backward over the
-    /// packed tape (true, the default) instead of one tape per sample
-    /// (false). A pure execution-strategy knob: per-sample losses and
-    /// gradients recovered from the packed tape are bitwise identical to
-    /// the per-sample path, so the numeric trajectory — and resumability
-    /// of old checkpoints — is unaffected. Like `threads`, it may differ
-    /// between a checkpoint and the resuming run.
-    #[serde(default = "default_batched")]
-    pub batched: bool,
     /// Minibatch shuffling seed.
     pub shuffle_seed: u64,
     /// Restore the parameters of the best validation epoch at the end.
@@ -125,13 +116,6 @@ pub struct TrainConfig {
     pub fs: FsHandle,
 }
 
-/// Serde default for [`TrainConfig::batched`]: checkpoints written before
-/// the field existed resume onto the batched path (safe because both paths
-/// are bit-identical).
-fn default_batched() -> bool {
-    true
-}
-
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
@@ -145,7 +129,6 @@ impl Default for TrainConfig {
             log_targets: true,
             patience: None,
             threads: 0,
-            batched: default_batched(),
             shuffle_seed: 7,
             keep_best: true,
             verbose: false,
@@ -234,6 +217,15 @@ pub enum TrainError {
     EmptyTrainingSet,
     /// A hyperparameter was out of range.
     InvalidConfig(String),
+    /// A training or validation sample failed [`Sample::validate`].
+    InvalidSample {
+        /// Which set the sample came from: `"train"` or `"val"`.
+        set: &'static str,
+        /// Position of the sample in that set.
+        index: usize,
+        /// The validation failure.
+        reason: String,
+    },
     /// Divergence recovery exhausted its rollback budget. The model holds
     /// the last good parameters, and (when checkpointing is configured)
     /// the last good state was persisted for post-mortem resume.
@@ -256,6 +248,9 @@ impl std::fmt::Display for TrainError {
         match self {
             TrainError::EmptyTrainingSet => f.write_str("training set is empty"),
             TrainError::InvalidConfig(msg) => write!(f, "invalid training config: {msg}"),
+            TrainError::InvalidSample { set, index, reason } => {
+                write!(f, "invalid {set} sample {index}: {reason}")
+            }
             TrainError::Diverged {
                 epoch,
                 rollbacks,
@@ -377,78 +372,6 @@ fn compile_items(
         .collect()
 }
 
-/// Forward/backward for one item. A non-finite loss or gradient is returned
-/// as-is (the tape tracks poisoning instead of asserting); the epoch loop
-/// treats it as divergence and rolls back to the last good state.
-fn item_loss(model: &RouteNet, item: &Item) -> (f64, Vec<(routenet_nn::ParamId, Tensor)>) {
-    let mut sess = Session::new(model.store());
-    let out = model.forward(&mut sess, &item.compiled);
-    let weighted = sess.tape.mul_const(out, &item.col_weights);
-    let loss = sess.tape.mse(weighted, &item.target);
-    let loss_val = sess.tape.value(loss).get(0, 0);
-    let grads = sess.tape.backward(loss);
-    let pg = sess.param_grads(&grads);
-    (loss_val, pg)
-}
-
-fn item_loss_value(model: &RouteNet, item: &Item) -> f64 {
-    let mut sess = Session::new(model.store());
-    let out = model.forward(&mut sess, &item.compiled);
-    let weighted = sess.tape.mul_const(out, &item.col_weights);
-    let loss = sess.tape.mse(weighted, &item.target);
-    sess.tape.value(loss).get(0, 0)
-}
-
-/// Per-sample losses and gradients for `chunk`, computed on up to `threads`
-/// workers. Results are returned in `chunk` order, so the downstream
-/// reduction is deterministic regardless of scheduling.
-#[allow(clippy::type_complexity)]
-fn batch_losses(
-    model: &RouteNet,
-    items: &[Item],
-    chunk: &[usize],
-    threads: usize,
-) -> Vec<(f64, Vec<(routenet_nn::ParamId, Tensor)>)> {
-    let workers = resolve_threads(threads).min(chunk.len());
-    if workers <= 1 {
-        // lint: allow(panic, reason = "chunk indices are minted from 0..items.len() by the batch scheduler")
-        return chunk.iter().map(|&i| item_loss(model, &items[i])).collect();
-    }
-    // Blessed indexed write-slot pattern (DESIGN.md "Parallelism safety
-    // contract"): worker `w` takes the strided indices w, w+workers, ... —
-    // a deterministic assignment — computes into a worker-local Vec, and
-    // returns it through its join handle. The sequential interleave below
-    // restores `chunk` order, so the reduction never depends on scheduling.
-    let parts: Vec<Vec<(f64, Vec<(routenet_nn::ParamId, Tensor)>)>> =
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                handles.push(scope.spawn(move |_| {
-                    // lint: allow(hot-loop-alloc, reason = "one result Vec per worker thread, not per item")
-                    let mut part = Vec::with_capacity(chunk.len().div_ceil(workers));
-                    let mut k = w;
-                    while k < chunk.len() {
-                        // lint: allow(panic, reason = "k < chunk.len() checked by the stride loop; chunk indices minted from 0..items.len()")
-                        part.push(item_loss(model, &items[chunk[k]]));
-                        k += workers;
-                    }
-                    part
-                }));
-            }
-            handles
-                .into_iter()
-                // lint: allow(panic, reason = "worker panics are programming errors; propagating them is the intent")
-                .map(|h| h.join().expect("training workers do not panic"))
-                .collect()
-        })
-        .expect("training scope joins cleanly"); // lint: allow(panic, reason = "worker panics are programming errors; propagating them is the intent")
-    let mut iters: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
-    (0..chunk.len())
-        // lint: allow(panic, reason = "worker w holds exactly the indices k with k % workers == w, so each next() yields")
-        .map(|k| iters[k % workers].next().expect("stride invariant"))
-        .collect()
-}
-
 /// One sample's loss value and parameter gradients.
 type SampleGrad = (f64, Vec<(routenet_nn::ParamId, Tensor)>);
 
@@ -487,9 +410,11 @@ fn stack_loss_tensors(items: &[Item], sub: &[usize]) -> (Arc<Tensor>, Tensor) {
 }
 
 /// One packed forward/backward over the items selected by `sub`, on an
-/// arena-reused tape. Returns per-sample `(loss, grads)` in `sub` order —
-/// each entry bitwise identical to what [`item_loss`] computes for that
-/// item on its own tape — plus the tape for the next pass.
+/// arena-reused tape. A non-finite loss or gradient is returned as-is (the
+/// tape tracks poisoning instead of asserting); the epoch loop treats it as
+/// divergence and rolls back to the last good state. Returns per-sample
+/// `(loss, grads)` in `sub` order — each entry independent of what else is
+/// packed with it — plus the tape for the next pass.
 fn batched_sub_losses(
     model: &RouteNet,
     items: &[Item],
@@ -537,8 +462,7 @@ fn batched_sub_loss_values(
 }
 
 /// Per-item loss values for all of `items` in index order, computed in
-/// packed chunks of `batch_size` on one arena-reused tape. Each value is
-/// bitwise identical to [`item_loss_value`] for that item.
+/// packed chunks of `batch_size` on one arena-reused tape.
 fn batched_loss_values(
     model: &RouteNet,
     items: &[Item],
@@ -556,13 +480,14 @@ fn batched_loss_values(
     (out, arena)
 }
 
-/// Batched counterpart of [`batch_losses`]: worker `w` packs its strided
-/// share of `chunk` (indices w, w+workers, ...) into one
-/// [`BatchedScenario`] and runs a single forward/backward over it on its
-/// own arena tape. The sequential interleave restores `chunk` order, so
-/// the downstream reduction is byte-identical to the per-sample path at
-/// any thread count.
-fn batch_losses_batched(
+/// Per-sample losses and gradients for `chunk`, computed on up to `threads`
+/// workers. Worker `w` packs its strided share of `chunk` (indices w,
+/// w+workers, ...) into one [`BatchedScenario`] and runs a single
+/// forward/backward over it on its own arena tape — a deterministic
+/// assignment (DESIGN.md "Parallelism safety contract"). The sequential
+/// interleave restores `chunk` order, so the downstream reduction is
+/// byte-identical at any thread count.
+fn minibatch_losses(
     model: &RouteNet,
     items: &[Item],
     chunk: &[usize],
@@ -633,6 +558,16 @@ fn validate_config(cfg: &TrainConfig) -> Result<(), TrainError> {
             f.is_finite() && f > 0.0,
             "max_spike_factor must be finite and positive",
         )?;
+    }
+    Ok(())
+}
+
+/// Reject malformed samples up front — e.g. a scenario that routes no
+/// pairs, which would leave an empty loss segment — as a typed error.
+fn validate_samples(set: &'static str, samples: &[Sample]) -> Result<(), TrainError> {
+    for (index, s) in samples.iter().enumerate() {
+        s.validate()
+            .map_err(|reason| TrainError::InvalidSample { set, index, reason })?;
     }
     Ok(())
 }
@@ -731,6 +666,8 @@ pub fn train_with_control(
     if train_set.is_empty() {
         return Err(TrainError::EmptyTrainingSet);
     }
+    validate_samples("train", train_set)?;
+    validate_samples("val", val_set)?;
 
     // ---- establish the starting state (fresh or resumed) ----------------
     // `state` is always the last good epoch boundary: the rollback target
@@ -771,12 +708,13 @@ pub fn train_with_control(
     *model.store_mut() = state.params.clone();
 
     // One-shot cost probe: the autodiff-graph footprint of a single sample's
-    // forward pass. Per-sample tape size dominates the trainer's time and
-    // memory, so the summary table reports it alongside throughput.
+    // forward pass (a batch of one). Per-sample tape size dominates the
+    // trainer's time and memory, so the summary table reports it alongside
+    // throughput.
     if cfg.telemetry.enabled() {
         if let Some(item) = train_items.first() {
             let mut sess = Session::new(model.store());
-            let _probe = model.forward(&mut sess, &item.compiled);
+            let _probe = model.forward_batch(&mut sess, &BatchedScenario::pack(&[&item.compiled]));
             cfg.telemetry
                 .gauge_set("train.tape_nodes_per_sample", sess.tape.len() as f64);
             cfg.telemetry.gauge_set(
@@ -805,23 +743,14 @@ pub fn train_with_control(
     // the training set at the initial parameters.
     let mut spike_ref: Option<f64> = state.epochs.last().map(|e| e.train_loss);
     if spike_ref.is_none() && cfg.max_spike_factor.is_some() {
-        let base = if cfg.batched {
-            let (losses, returned) = batched_loss_values(
-                model,
-                &train_items,
-                cfg.batch_size,
-                std::mem::take(&mut eval_arena),
-            );
-            eval_arena = returned;
-            losses.iter().sum::<f64>() / train_items.len() as f64
-        } else {
-            train_items
-                .iter()
-                .map(|it| item_loss_value(model, it))
-                .sum::<f64>()
-                / train_items.len() as f64
-        };
-        spike_ref = Some(base);
+        let (losses, returned) = batched_loss_values(
+            model,
+            &train_items,
+            cfg.batch_size,
+            std::mem::take(&mut eval_arena),
+        );
+        eval_arena = returned;
+        spike_ref = Some(losses.iter().sum::<f64>() / train_items.len() as f64);
     }
 
     let mut order: Vec<usize> = (0..train_items.len()).collect();
@@ -845,12 +774,7 @@ pub fn train_with_control(
             }
             let mut acc = GradAccumulator::new(model.store());
             let mut batch_loss = 0.0;
-            let sample_grads = if cfg.batched {
-                batch_losses_batched(model, &train_items, chunk, cfg.threads, &mut arenas)
-            } else {
-                batch_losses(model, &train_items, chunk, cfg.threads)
-            };
-            for (l, pg) in sample_grads {
+            for (l, pg) in minibatch_losses(model, &train_items, chunk, cfg.threads, &mut arenas) {
                 batch_loss += l;
                 acc.add(&pg);
             }
@@ -881,7 +805,7 @@ pub fn train_with_control(
         }
         let val_loss = if diverged.is_some() || val_items.is_empty() {
             None
-        } else if cfg.batched {
+        } else {
             let (losses, returned) = batched_loss_values(
                 model,
                 &val_items,
@@ -890,14 +814,6 @@ pub fn train_with_control(
             );
             eval_arena = returned;
             Some(losses.iter().sum::<f64>() / val_items.len() as f64)
-        } else {
-            Some(
-                val_items
-                    .iter()
-                    .map(|it| item_loss_value(model, it))
-                    .sum::<f64>()
-                    / val_items.len() as f64,
-            )
         };
         if diverged.is_none() {
             if let Some(v) = val_loss {
@@ -1200,11 +1116,8 @@ mod tests {
         let report = train(&mut model, &data[..6], &data[6..], &cfg).unwrap();
         // The restored parameters must reproduce the best validation loss.
         let items = compile_items(&model, &data[6..], cfg.jitter_weight, cfg.drop_weight);
-        let val: f64 = items
-            .iter()
-            .map(|it| item_loss_value(&model, it))
-            .sum::<f64>()
-            / items.len() as f64;
+        let (losses, _) = batched_loss_values(&model, &items, cfg.batch_size, Tape::new());
+        let val = losses.iter().sum::<f64>() / items.len() as f64;
         assert!(
             (val - report.best_loss).abs() < 1e-9,
             "restored val {val} != best {}",
@@ -1242,58 +1155,13 @@ mod tests {
                 keep_best: false,
                 ..TrainConfig::default()
             };
-            train(&mut model, &data[..8], &data[8..], &cfg).unwrap();
-            model
-                .predict_scenario(&data[9].scenario)
-                .iter()
-                .map(|p| p.delay_s)
-                .collect::<Vec<f64>>()
-        };
-        let seq = train_once(1);
-        let par = train_once(4);
-        assert_eq!(seq, par, "thread count changed the training result");
-    }
-
-    #[test]
-    fn train_config_batched_defaults_on_for_old_checkpoints() {
-        // Checkpoints written before the field existed must deserialize
-        // onto the batched path (both paths are bit-identical anyway).
-        let json = serde_json::to_string(&TrainConfig::default()).unwrap();
-        let stripped = json.replace("\"batched\":true,", "");
-        assert_ne!(json, stripped, "expected a batched field to strip");
-        let cfg: TrainConfig = serde_json::from_str(&stripped).unwrap();
-        assert!(cfg.batched);
-    }
-
-    #[test]
-    fn batched_training_is_bit_identical_to_per_sample() {
-        let data = mm1_dataset(10, 17);
-        let train_once = |batched: bool, threads: usize| {
-            let mut model = tiny_model();
-            let cfg = TrainConfig {
-                epochs: 3,
-                batch_size: 5,
-                threads,
-                batched,
-                keep_best: false,
-                ..TrainConfig::default()
-            };
             let report = train(&mut model, &data[..8], &data[8..], &cfg).unwrap();
             (model.store().clone(), report.epochs)
         };
-        let (seq_params, seq_curve) = train_once(false, 1);
-        let (bat_params, bat_curve) = train_once(true, 1);
-        assert_eq!(seq_params, bat_params, "batched mode changed the params");
-        assert_eq!(seq_curve, bat_curve, "batched mode changed the loss curve");
-        let (par_params, par_curve) = train_once(true, 4);
-        assert_eq!(
-            seq_params, par_params,
-            "threaded batched mode changed the params"
-        );
-        assert_eq!(
-            seq_curve, par_curve,
-            "threaded batched mode changed the loss curve"
-        );
+        let (seq_params, seq_curve) = train_once(1);
+        let (par_params, par_curve) = train_once(4);
+        assert_eq!(seq_params, par_params, "thread count changed the params");
+        assert_eq!(seq_curve, par_curve, "thread count changed the loss curve");
     }
 
     #[test]
@@ -1342,6 +1210,54 @@ mod tests {
         assert!(
             matches!(err, TrainError::EmptyTrainingSet),
             "expected EmptyTrainingSet, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn sample_routing_no_pairs_is_an_error() {
+        let g = routenet_netgraph::Graph::new("one", 1);
+        let routing = shortest_path_routing(&g).unwrap();
+        let empty = Sample {
+            scenario: Scenario {
+                graph: g,
+                routing,
+                traffic: routenet_netgraph::TrafficMatrix::zeros(1),
+            },
+            targets: Vec::new(),
+            topology: "one".into(),
+            intensity: 0.5,
+            seed: 0,
+        };
+        let data = mm1_dataset(2, 8);
+        let mut model = tiny_model();
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..TrainConfig::default()
+        };
+        let train_set = [data[0].clone(), empty.clone()];
+        let err = train(&mut model, &train_set, &[], &cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TrainError::InvalidSample {
+                    set: "train",
+                    index: 1,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
+        let err = train(&mut model, &data, &[empty], &cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TrainError::InvalidSample {
+                    set: "val",
+                    index: 0,
+                    ..
+                }
+            ),
+            "got {err:?}"
         );
     }
 
@@ -1534,50 +1450,53 @@ mod tests {
     }
 
     #[test]
-    fn resume_across_execution_modes_is_bit_identical() {
+    fn old_checkpoints_with_batched_field_resume_bit_identically() {
+        // Checkpoints written while `TrainConfig` still carried the
+        // execution-mode knob `batched` must load (the field is ignored) and
+        // resume onto the same trajectory as an uninterrupted run.
         let data = mm1_dataset(10, 15);
         let (train_set, val_set) = data.split_at(8);
-        let path = tmp_path("resume_xmode");
-
-        // Uninterrupted reference: 4 epochs on the (default) batched path.
-        let mut full = tiny_model();
+        let path = tmp_path("resume_batched_field");
         let cfg4 = TrainConfig {
             epochs: 4,
             batch_size: 3,
             lr: 5e-3,
             ..TrainConfig::default()
         };
+        let mut full = tiny_model();
         let full_report = train(&mut full, train_set, val_set, &cfg4).unwrap();
 
-        // Checkpoint written by the sequential per-sample path...
-        let mut half = tiny_model();
-        let cfg_seq = TrainConfig {
-            epochs: 2,
-            batched: false,
-            checkpoint_path: Some(path.to_string_lossy().into_owned()),
-            ..cfg4.clone()
-        };
-        train(&mut half, train_set, val_set, &cfg_seq).unwrap();
+        for old_value in ["true", "false"] {
+            let mut half = tiny_model();
+            let cfg2 = TrainConfig {
+                epochs: 2,
+                checkpoint_path: Some(path.to_string_lossy().into_owned()),
+                ..cfg4.clone()
+            };
+            train(&mut half, train_set, val_set, &cfg2).unwrap();
+            let payload = crate::checkpoint::read_checksummed(&path).unwrap();
+            let json = String::from_utf8(payload).unwrap();
+            let old = json.replacen(
+                "\"shuffle_seed\":",
+                &format!("\"batched\":{old_value},\"shuffle_seed\":"),
+                1,
+            );
+            assert_ne!(json, old, "expected a train_config to extend");
+            crate::checkpoint::write_checksummed(&path, old.as_bytes()).unwrap();
 
-        // ...resumes under the batched kernel: execution strategy is not
-        // part of the resume-compat contract, and because the two paths are
-        // bit-identical the crossover leaves no trace in the result.
-        let mut resumed = tiny_model();
-        let cfg_resume = TrainConfig {
-            epochs: 4,
-            batched: true,
-            resume_from: Some(path.to_string_lossy().into_owned()),
-            checkpoint_path: None,
-            ..cfg4.clone()
-        };
-        let resumed_report = train(&mut resumed, train_set, val_set, &cfg_resume).unwrap();
-
-        assert_eq!(full.store(), resumed.store());
-        assert_eq!(full_report.epochs, resumed_report.epochs);
-        assert_eq!(
-            full_report.best_loss.to_bits(),
-            resumed_report.best_loss.to_bits()
-        );
+            let mut resumed = tiny_model();
+            let cfg_resume = TrainConfig {
+                resume_from: Some(path.to_string_lossy().into_owned()),
+                ..cfg4.clone()
+            };
+            let resumed_report = train(&mut resumed, train_set, val_set, &cfg_resume).unwrap();
+            assert_eq!(full.store(), resumed.store(), "batched={old_value}");
+            assert_eq!(full_report.epochs, resumed_report.epochs);
+            assert_eq!(
+                full_report.best_loss.to_bits(),
+                resumed_report.best_loss.to_bits()
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,10 +1,10 @@
 //! Property test of the batched CSR kernel's core contract: packing any
 //! mix of scenarios into one [`BatchedScenario`] and running a single
 //! forward/backward is **bitwise identical** to running each sample on its
-//! own tape — output rows, per-sample losses, and per-sample parameter
-//! gradients. This is what lets the trainer switch execution strategies
-//! (sequential, batched, any thread count) without perturbing a single bit
-//! of the training curve.
+//! own tape through the reference [`RouteNet::forward`] — output rows,
+//! per-sample losses, and per-sample parameter gradients. This is what lets
+//! the trainer split a minibatch across any number of workers, and the
+//! daemon micro-batch queries, without perturbing a single bit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -79,8 +79,8 @@ proptest! {
             .map(|(i, sc)| targets(sc.n_pairs(), m.out_dim(), seed.wrapping_add(1000 + i as u64)))
             .collect();
 
-        // Per-sample reference: each scenario on its own fresh tape,
-        // exactly what the sequential trainer path computes.
+        // Per-sample reference: each scenario through the dense reference
+        // forward on its own fresh tape, independent of the packing code.
         let mut ref_rows: Vec<Tensor> = Vec::new();
         let mut ref_losses: Vec<f64> = Vec::new();
         let mut ref_grads: Vec<Vec<(ParamId, Tensor)>> = Vec::new();

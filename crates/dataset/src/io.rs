@@ -375,6 +375,37 @@ mod tests {
     }
 
     #[test]
+    fn samples_routing_no_pairs_are_rejected_and_quarantined() {
+        let g = routenet_netgraph::Graph::new("one", 1);
+        let routing = routenet_netgraph::routing::shortest_path_routing(&g).unwrap();
+        let empty = Sample {
+            scenario: routenet_core::Scenario {
+                graph: g,
+                routing,
+                traffic: routenet_netgraph::TrafficMatrix::zeros(1),
+            },
+            targets: Vec::new(),
+            topology: "one".into(),
+            intensity: 0.5,
+            seed: 0,
+        };
+        let ds = tiny_dataset();
+        let dir = std::env::temp_dir().join(format!("rn-io-nopairs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("nopairs.jsonl");
+        save_jsonl(&path, &[ds[0].clone(), empty]).unwrap();
+        match load_jsonl(&path) {
+            Err(IoError::Invalid { index: 1, msg }) => assert!(msg.contains("no pairs"), "{msg}"),
+            other => panic!("expected invalid sample 1, got {other:?}"),
+        }
+        let report = load_jsonl_lenient(&path).unwrap();
+        assert_eq!(report.samples.len(), 1);
+        assert_eq!(report.skipped, 1);
+        assert!(report.quarantine_path.is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn quarantine_sidecar_collects_all_bad_lines_and_torn_tail() {
         let ds = tiny_dataset();
         let dir = std::env::temp_dir().join(format!("rn-io-qside-{}", std::process::id()));

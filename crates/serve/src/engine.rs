@@ -92,10 +92,11 @@ impl Engine {
 
     /// Predict one micro-batch in a single batched forward pass, reusing
     /// cached per-topology plans and the arena tape. Scenarios must be
-    /// finalized and validated with at least one routed pair each (the
-    /// server rejects anything else before it reaches the queue). Returns
+    /// finalized and pass `Scenario::validate`, which rejects scenarios
+    /// that route no pairs (the server checks before queueing). Returns
     /// one prediction vector per scenario, in input order — bitwise
-    /// identical, per sample, to the offline per-sample predict path.
+    /// identical, per sample, to the offline predict path (each scenario as
+    /// a batch of one).
     pub fn predict(&mut self, scenarios: &[&Scenario]) -> Vec<Vec<Prediction>> {
         if scenarios.is_empty() {
             return Vec::new();

@@ -244,10 +244,6 @@ impl ServerHandle {
             self.respond(tx, Response::err(req.id, format!("invalid scenario: {e}")));
             return Submission::Handled;
         }
-        if scenario.n_pairs() == 0 {
-            self.respond(tx, Response::err(req.id, "scenario routes no pairs"));
-            return Submission::Handled;
-        }
         self.enqueue(req.id, scenario, tx);
         Submission::Handled
     }
@@ -564,6 +560,26 @@ mod tests {
         let resp: Response = serde_json::from_str(&rx.recv().unwrap()).unwrap();
         assert_eq!(resp.id, 7);
         assert!(resp.predictions.is_some());
+        server.finish().unwrap();
+    }
+
+    #[test]
+    fn query_routing_no_pairs_gets_an_error_response() {
+        let server = start_server(ServerConfig::default());
+        let handle = server.handle();
+        let (tx, rx) = mpsc::channel();
+        let g = routenet_netgraph::Graph::new("one", 1);
+        let empty = Scenario {
+            routing: shortest_path_routing(&g).unwrap(),
+            graph: g,
+            traffic: TrafficMatrix::zeros(1),
+        };
+        handle.submit_line(&query_line(4, &empty), &tx);
+        let resp: Response = serde_json::from_str(&rx.recv().unwrap()).unwrap();
+        assert_eq!(resp.id, 4);
+        assert!(resp.predictions.is_none());
+        let err = resp.error.expect("a typed error");
+        assert!(err.contains("routes no pairs"), "{err}");
         server.finish().unwrap();
     }
 
