@@ -20,7 +20,7 @@
 use crate::callgraph::{is_compound_assign, CallGraph, RNG_METHODS, RNG_SEEDERS};
 use crate::lexer::{Token, TokenKind};
 use crate::parse::{self, Parsed};
-use crate::rules::{skip_balanced, Diagnostic, RuleSet};
+use crate::rules::{skip_attr, skip_balanced, Diagnostic, RuleSet};
 
 /// Methods that mutate their receiver in place.
 const MUTATION_METHODS: &[&str] = &[
@@ -179,7 +179,8 @@ fn declared_inside(tokens: &[Token], region: &SpawnRegion) -> Vec<String> {
 }
 
 /// Token index of the start of the statement containing `i` within the
-/// region (just after the previous `;`/`{`/`}` or the region open).
+/// region (just after the previous `;`/`{`/`}` or the region open, and past
+/// any outer attributes such as `#[expect(..)]`).
 fn statement_start(tokens: &[Token], region: &SpawnRegion, i: usize) -> usize {
     let mut s = i;
     while s > region.open + 1 {
@@ -187,6 +188,9 @@ fn statement_start(tokens: &[Token], region: &SpawnRegion, i: usize) -> usize {
             ";" | "{" | "}" => break,
             _ => s -= 1,
         }
+    }
+    while s < i && tokens[s].text == "#" {
+        s = skip_attr(tokens, s);
     }
     s
 }
@@ -313,8 +317,17 @@ fn shared_mut_rule(
     out: &mut Vec<Diagnostic>,
 ) {
     let end = region.close.min(tokens.len());
+    // `reason = ".."` inside an attribute is not an assignment.
+    let mut attr_end = 0;
     for i in region.open + 1..end {
+        if i < attr_end {
+            continue;
+        }
         let t = &tokens[i];
+        if t.text == "#" {
+            attr_end = skip_attr(tokens, i);
+            continue;
+        }
         let is_assign = t.text == "=" || is_compound_assign(&t.text);
         let is_mut_method = t.kind == TokenKind::Ident
             && MUTATION_METHODS.contains(&t.text.as_str())
@@ -575,7 +588,7 @@ mod tests {
     use crate::rules::{analyze_source, RuleSet};
 
     /// RN2xx findings only — RuleSet::all() also runs the core rules, and
-    /// e.g. bare indexing in a blessed write-slot snippet is `panic`-rule
+    /// e.g. an allocation in a snippet's loop is `hot-loop-alloc`
     /// territory, not a concurrency regression.
     fn run(src: &str) -> Vec<(&'static str, u32)> {
         analyze_source("test.rs", src, RuleSet::all())
@@ -710,5 +723,18 @@ mod tests {
                        });\n\
                    }";
         assert_eq!(run(src), vec![]);
+    }
+
+    #[test]
+    fn attributes_in_spawn_body_are_not_mutations() {
+        let src = "fn f(scope: &S, n: u64, hits: &mut u64) {\n\
+                       scope.spawn(move |_| {\n\
+                           #[expect(clippy::cast_possible_truncation, reason = \"n is small\")]\n\
+                           let k = n as usize;\n\
+                           *hits += 1;\n\
+                       });\n\
+                   }";
+        // Only the genuine shared write on line 5 is flagged.
+        assert_eq!(run(src), vec![("parallel-shared-mut", 5)]);
     }
 }

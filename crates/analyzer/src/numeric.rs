@@ -351,9 +351,10 @@ impl UnitEnv {
                     continue;
                 }
                 if callees.iter().any(|c| self.is_may_nan(c)) {
-                    let i = self.may_nan.binary_search(name).unwrap_err();
-                    self.may_nan.insert(i, name.clone());
-                    changed = true;
+                    if let Err(i) = self.may_nan.binary_search(name) {
+                        self.may_nan.insert(i, name.clone());
+                        changed = true;
+                    }
                 }
             }
             if !changed {
@@ -1154,7 +1155,10 @@ fn apply_method(
             info.proven_positive = false;
         }
         "powi" => {
-            // lint: allow(cast, reason = "exponent literals are tiny; saturation via Dim::pow caps the dimension anyway")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "exponent literals are tiny; saturation via Dim::pow caps the dimension anyway"
+            )]
             let k = arg().and_then(|a| a.lit_value).map(|v| v as i8);
             info.unit = match (info.unit.dim(), k) {
                 (Some(d), Some(k)) => Unit::Known(d.pow(k)),
@@ -1530,7 +1534,6 @@ fn is_binary_pos(tokens: &[Token], k: usize) -> bool {
 /// Is the denominator term proven nonzero?
 fn div_proven(ctx: &FileCtx<'_>, local: &LocalEnv, fspan: &FnSpan, d: &ExprInfo) -> bool {
     if d.all_literal {
-        // lint: allow(float-eq, reason = "exact-zero test on a source literal: `x / 0.0` is the one value we must reject")
         return d.lit_value.is_some_and(|v| v != 0.0);
     }
     if d.proven_positive {

@@ -1,23 +1,18 @@
 //! Lightweight structural parse layer over the [`crate::lexer`] token stream.
 //!
-//! The token-level rules only need answers to structural questions — "is this
-//! token inside a loop body?", "is this variable a `HashMap`?", "does this
-//! `pub fn` return `Result` and carry `#[must_use]`?" — not a full AST. This
-//! module answers them with a single forward pass each:
+//! The hot-loop rules only need an answer to one structural question — "is
+//! this token inside a loop body?" — not a full AST. This module answers it
+//! with a single forward pass each:
 //!
 //! - [`build_blocks`]: every brace-delimited block with a coarse
 //!   [`BlockKind`], derived from the keyword that introduced it,
-//! - [`fn_items`]: function items with visibility, attributes, and whether
-//!   the return type mentions `Result`,
-//! - [`hash_aliases`] / [`hash_names`]: per-file resolution of which type
-//!   names and which variable/field names refer to `HashMap`/`HashSet`,
 //! - [`loop_ranges`]: token ranges executed once per iteration — `for` /
 //!   `while` / `loop` bodies plus the argument spans of iterator-adapter
 //!   closures (`.map(..)`, `.for_each(..)`, ...).
 //!
 //! All results are conservative: when the heuristics cannot classify a
-//! construct they fall back to "not a loop / not a hash / not an item", so
-//! downstream rules under-report rather than hallucinate.
+//! construct they fall back to "not a loop", so downstream rules
+//! under-report rather than hallucinate.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -52,34 +47,11 @@ pub struct Block {
     pub end_line: u32,
 }
 
-/// A function item with the signature facts the rules need.
-#[derive(Debug, Clone)]
-pub struct FnItem {
-    /// Function name.
-    pub name: String,
-    /// Declared `pub` (any visibility restriction such as `pub(crate)`
-    /// counts: the analyzer audits API shape, not reachability).
-    pub is_pub: bool,
-    /// Carries a `#[must_use]` attribute (with or without a message).
-    pub has_must_use: bool,
-    /// Return type mentions `Result`.
-    pub returns_result: bool,
-    /// Line of the `fn` keyword.
-    pub sig_line: u32,
-}
-
 /// Structural facts for one file.
 #[derive(Debug)]
 pub struct Parsed {
     /// Every brace block, in closing order.
     pub blocks: Vec<Block>,
-    /// Every function item (including nested functions).
-    pub fns: Vec<FnItem>,
-    /// Type names that refer to `HashMap`/`HashSet` in this file
-    /// (the bare names plus `use .. as ..` renames and `type` aliases).
-    pub hash_aliases: Vec<String>,
-    /// Variable, parameter, and field names with a hash-typed declaration.
-    pub hash_names: Vec<String>,
     /// Token ranges `(start, end)` executed once per loop iteration.
     pub loop_ranges: Vec<(usize, usize)>,
 }
@@ -87,15 +59,9 @@ pub struct Parsed {
 /// Run every structural pass over one file's tokens.
 pub fn parse(tokens: &[Token]) -> Parsed {
     let blocks = build_blocks(tokens);
-    let fns = fn_items(tokens);
-    let hash_aliases = hash_aliases(tokens);
-    let hash_names = hash_names(tokens, &hash_aliases);
     let loop_ranges = loop_ranges(tokens, &blocks);
     Parsed {
         blocks,
-        fns,
-        hash_aliases,
-        hash_names,
         loop_ranges,
     }
 }
@@ -158,182 +124,6 @@ pub fn build_blocks(tokens: &[Token]) -> Vec<Block> {
         });
     }
     blocks
-}
-
-/// Extract function items with visibility, `#[must_use]`, and return type.
-pub fn fn_items(tokens: &[Token]) -> Vec<FnItem> {
-    let mut fns = Vec::new();
-    // Attribute spans and a `pub` seen since the last non-modifier token.
-    let mut pending_attrs: Vec<(usize, usize)> = Vec::new();
-    let mut pending_pub = false;
-    let mut i = 0usize;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if t.text == "#" {
-            let end = crate::rules::skip_attr(tokens, i);
-            pending_attrs.push((i, end));
-            i = end;
-            continue;
-        }
-        if t.kind == TokenKind::Ident {
-            match t.text.as_str() {
-                "pub" => {
-                    pending_pub = true;
-                    i += 1;
-                    if matches!(tokens.get(i), Some(n) if n.text == "(") {
-                        i = crate::rules::skip_balanced(tokens, i, "(", ")");
-                    }
-                    continue;
-                }
-                // Modifiers between visibility and `fn` keep the pending state.
-                "const" | "unsafe" | "async" | "extern" => {
-                    i += 1;
-                    if matches!(tokens.get(i), Some(n) if n.kind == TokenKind::Str) {
-                        i += 1; // extern "C"
-                    }
-                    continue;
-                }
-                "fn" => {
-                    if let Some(name) = tokens.get(i + 1).filter(|n| n.kind == TokenKind::Ident) {
-                        let has_must_use = pending_attrs.iter().any(|&(a, b)| {
-                            tokens[a..b.min(tokens.len())]
-                                .iter()
-                                .any(|t| t.text == "must_use")
-                        });
-                        fns.push(FnItem {
-                            name: name.text.clone(),
-                            is_pub: pending_pub,
-                            has_must_use,
-                            returns_result: signature_returns_result(tokens, i + 2),
-                            sig_line: t.line,
-                        });
-                    }
-                    pending_attrs.clear();
-                    pending_pub = false;
-                    i += 1;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        pending_attrs.clear();
-        pending_pub = false;
-        i += 1;
-    }
-    fns
-}
-
-/// Does the signature starting after `fn <name>` declare a `Result` return?
-/// Scans `-> ..` up to the body `{`, a `;`, or a `where` clause.
-fn signature_returns_result(tokens: &[Token], from: usize) -> bool {
-    let mut j = from;
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    let mut in_ret = false;
-    while let Some(t) = tokens.get(j) {
-        match t.text.as_str() {
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            "[" => bracket += 1,
-            "]" => bracket -= 1,
-            "->" if paren == 0 && bracket == 0 => in_ret = true,
-            "{" | ";" if paren == 0 && bracket == 0 => return false,
-            "where" if t.kind == TokenKind::Ident => return false,
-            "Result" if in_ret && t.kind == TokenKind::Ident => return true,
-            _ => {}
-        }
-        j += 1;
-    }
-    false
-}
-
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Constructor names whose `Alias::ctor(..)` result is hash-typed.
-const HASH_CTORS: &[&str] = &["new", "with_capacity", "default", "from", "from_iter"];
-
-/// Type names that refer to `HashMap`/`HashSet` in this file: the bare names
-/// plus `use .. as R;` renames and `type A = HashMap<..>;` aliases.
-pub fn hash_aliases(tokens: &[Token]) -> Vec<String> {
-    let mut aliases: Vec<String> = HASH_TYPES.iter().map(|s| (*s).to_string()).collect();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        // `use ..::HashMap as Map;` (also inside `{..}` groups).
-        if HASH_TYPES.contains(&t.text.as_str())
-            && matches!(tokens.get(i + 1), Some(a) if a.text == "as")
-        {
-            if let Some(r) = tokens.get(i + 2).filter(|r| r.kind == TokenKind::Ident) {
-                if !aliases.contains(&r.text) {
-                    aliases.push(r.text.clone());
-                }
-            }
-        }
-        // `type Alias = .. HashMap .. ;`
-        if t.text == "type" {
-            if let (Some(name), Some(eq)) = (tokens.get(i + 1), tokens.get(i + 2)) {
-                if name.kind == TokenKind::Ident && eq.text == "=" {
-                    let mut j = i + 3;
-                    while let Some(t2) = tokens.get(j) {
-                        if t2.text == ";" {
-                            break;
-                        }
-                        if HASH_TYPES.contains(&t2.text.as_str()) && !aliases.contains(&name.text) {
-                            aliases.push(name.text.clone());
-                        }
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-    aliases
-}
-
-/// Identifier names declared with a hash type: `name: HashMap<..>` ascriptions
-/// (locals, params, struct fields) and `let name = HashMap::new()` forms.
-pub fn hash_names(tokens: &[Token], aliases: &[String]) -> Vec<String> {
-    let mut names = Vec::new();
-    let mut push = |n: &str| {
-        if !names.iter().any(|x: &String| x == n) {
-            names.push(n.to_string());
-        }
-    };
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !aliases.iter().any(|a| a == &t.text) {
-            continue;
-        }
-        // Walk backward over the type prefix: path segments, `&`, `mut`,
-        // lifetimes. `Vec<HashMap<..>>` stops at `<` — the *outer* binding is
-        // not hash-typed, so it is correctly skipped.
-        let mut j = i;
-        while j >= 2 && tokens[j - 1].text == "::" {
-            j -= 2;
-        }
-        while j >= 1
-            && (tokens[j - 1].text == "&"
-                || tokens[j - 1].text == "mut"
-                || tokens[j - 1].kind == TokenKind::Lifetime)
-        {
-            j -= 1;
-        }
-        if j >= 2 && tokens[j - 1].text == ":" && tokens[j - 2].kind == TokenKind::Ident {
-            push(&tokens[j - 2].text);
-            continue;
-        }
-        // `let [mut] name = [path::]Alias::ctor(..)`.
-        let is_ctor = matches!(tokens.get(i + 1), Some(c) if c.text == "::")
-            && matches!(tokens.get(i + 2), Some(m) if HASH_CTORS.contains(&m.text.as_str()));
-        if is_ctor && j >= 2 && tokens[j - 1].text == "=" && tokens[j - 2].kind == TokenKind::Ident
-        {
-            let name = &tokens[j - 2].text;
-            if name != "mut" && name != "let" {
-                push(name);
-            }
-        }
-    }
-    names
 }
 
 /// Iterator adapters that take a closure executed once per element.
@@ -425,51 +215,6 @@ mod tests {
         let p = parse_src("struct S; fn f() { }");
         assert_eq!(p.blocks.len(), 1);
         assert_eq!(p.blocks[0].kind, BlockKind::Fn);
-    }
-
-    #[test]
-    fn fn_items_capture_pub_must_use_result() {
-        let src = "#[must_use = \"handle it\"]\npub fn a() -> Result<(), E> { }\nfn b() -> Result<u8, E>;\npub fn c() -> u32 { }";
-        let p = parse_src(src);
-        assert_eq!(p.fns.len(), 3);
-        assert!(p.fns[0].is_pub && p.fns[0].has_must_use && p.fns[0].returns_result);
-        assert!(!p.fns[1].is_pub && !p.fns[1].has_must_use && p.fns[1].returns_result);
-        assert!(p.fns[2].is_pub && !p.fns[2].returns_result);
-    }
-
-    #[test]
-    fn derive_attr_does_not_leak_onto_next_fn() {
-        let src = "#[derive(Debug)]\nstruct S;\npub fn f() -> Result<(), E> { }";
-        let p = parse_src(src);
-        assert_eq!(p.fns.len(), 1);
-        assert!(!p.fns[0].has_must_use);
-    }
-
-    #[test]
-    fn result_in_params_is_not_a_result_return() {
-        let p = parse_src("pub fn f(r: Result<u8, E>) -> u32 { 0 }");
-        assert!(!p.fns[0].returns_result);
-    }
-
-    #[test]
-    fn hash_aliases_resolve_renames_and_type_aliases() {
-        let src =
-            "use std::collections::{HashMap as Map, HashSet};\ntype Index = HashMap<u32, u32>;";
-        let p = parse_src(src);
-        for a in ["HashMap", "HashSet", "Map", "Index"] {
-            assert!(p.hash_aliases.iter().any(|x| x == a), "missing {a}");
-        }
-    }
-
-    #[test]
-    fn hash_names_from_ascription_ctor_and_field() {
-        let src = "struct S { edges: HashSet<(u32, u32)> }\nfn f(m: &HashMap<u32, u32>) { let mut seen = HashSet::new(); let v: Vec<HashMap<u8, u8>> = Vec::new(); }";
-        let p = parse_src(src);
-        for n in ["edges", "m", "seen"] {
-            assert!(p.hash_names.iter().any(|x| x == n), "missing {n}");
-        }
-        // The Vec<HashMap<..>> binding itself is not hash-typed.
-        assert!(!p.hash_names.iter().any(|x| x == "v"));
     }
 
     #[test]

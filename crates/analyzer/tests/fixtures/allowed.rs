@@ -1,26 +1,26 @@
 //! Fixture: justified allows suppress diagnostics; malformed allows are
 //! themselves diagnosed under the `lint-syntax` rule.
 
-pub fn suppressed_unwrap(v: Option<u32>) -> u32 {
-    // lint: allow(panic, reason = "fixture: always Some in this scenario")
-    v.unwrap()
+pub fn suppressed_sort(xs: &mut [f64]) {
+    // lint: allow(nan, reason = "fixture: inputs are NaN-free by construction")
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 
-pub fn suppressed_trailing(x: f64) -> bool {
-    x == 0.25 // lint: allow(float-eq, reason = "fixture: exact sentinel")
+pub fn suppressed_trailing(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal) // lint: allow(nan, reason = "fixture: ties are harmless")
 }
 
-pub fn suppressed_cast(x: u64) -> u32 {
-    // lint: allow(cast, reason = "fixture: value bounded by construction")
-    x as u32
+pub fn suppressed_clone(names: &[String]) -> usize {
+    // lint: allow(hot-loop-alloc, reason = "fixture: runs once per run")
+    names.iter().map(|n| n.clone().len()).sum()
 }
 
-pub fn missing_reason(v: Option<u32>) -> u32 {
-    // lint: allow(panic)
-    v.unwrap()
+pub fn missing_reason(xs: &mut [f64]) {
+    // lint: allow(nan)
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 
-pub fn unknown_rule(v: Option<u32>) -> u32 {
+pub fn unknown_rule(xs: &mut [f64]) {
     // lint: allow(frobnicate, reason = "no such rule")
-    v.unwrap()
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }

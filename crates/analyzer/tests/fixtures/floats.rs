@@ -1,12 +1,4 @@
-//! Fixture: float-discipline violations at fixed lines.
-
-pub fn float_eq_site(x: f64) -> bool {
-    x == 0.5
-}
-
-pub fn float_ne_site(y: f64) -> bool {
-    y != 1.0
-}
+//! Fixture: NaN-unsound float handling (nan rule) at fixed lines.
 
 pub fn nan_sink_site(xs: &mut [f64]) {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -16,6 +8,6 @@ pub fn div_zero_site(x: f64) -> f64 {
     x / 0.0
 }
 
-pub fn not_flagged(x: f64) -> bool {
-    (x - 0.5).abs() < 1e-9
+pub fn not_flagged(xs: &mut [f64]) {
+    xs.sort_by(|a, b| a.total_cmp(b));
 }

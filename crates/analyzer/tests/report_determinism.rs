@@ -47,12 +47,19 @@ fn shuffled(paths: &[PathBuf], rng: &mut XorShift) -> Vec<PathBuf> {
 fn report_is_byte_identical_across_runs_and_input_orderings() {
     let paths = fixture_paths();
     let reference = analyze_paths(&paths).expect("analyze fixtures").json();
-    // The fixture set must exercise the numeric family: its workspace-wide
-    // unit environment and NaN fixed point are the newest sorted containers
-    // this property guards.
-    for id in ["RN401", "RN402", "RN403", "RN404", "RN405", "RN406"] {
+    // The fixture set must exercise the directive parser (syntax errors and
+    // in-force allows) and the numeric family: its workspace-wide unit
+    // environment and NaN fixed point are the newest sorted containers this
+    // property guards.
+    for id in [
+        "RN003", "RN005", "RN006", "RN103", "RN401", "RN402", "RN403", "RN404", "RN405", "RN406",
+    ] {
         assert!(reference.contains(id), "fixture sweep lost {id} coverage");
     }
+    assert!(
+        reference.contains("\"allows\": [\n    {"),
+        "fixture sweep lost in-force allows"
+    );
 
     // Repeated runs over the same ordering.
     for _ in 0..3 {

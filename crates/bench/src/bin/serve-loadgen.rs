@@ -72,9 +72,12 @@ fn run_client(
     while results.len() < ids.len() {
         while next < ids.len() && sent.len() < window.max(1) {
             let id = ids[next];
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "ids enumerate 0..queries.len(), which fits usize by construction"
+            )]
             let req = Request {
                 id,
-                // lint: allow(cast, reason = "ids enumerate 0..queries.len(), which fits usize by construction")
                 scenario: Some(queries[id as usize].clone()),
                 cmd: None,
             };
@@ -102,6 +105,11 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "q is a quantile in [0, 1], so the rounded index lies in 0..sorted.len()"
+    )]
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
 }
@@ -190,6 +198,10 @@ fn main() {
         let handles: Vec<_> = (0..concurrency)
             .map(|c| {
                 scope.spawn(move || {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "ids enumerate 0..queries.len(), which fits usize by construction"
+                    )]
                     let ids: Vec<u64> = (0..n)
                         .filter(|id| *id as usize % concurrency == c)
                         .collect();

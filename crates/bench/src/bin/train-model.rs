@@ -38,7 +38,7 @@ fn main() {
             match load_jsonl_lenient(path) {
                 Ok(r) => {
                     if r.skipped > 0 {
-                        // lint: allow(panic, reason = "skipped > 0 implies a recorded first error")
+                        // skipped > 0 implies a recorded first error.
                         let first = r
                             .first_error
                             .as_ref()

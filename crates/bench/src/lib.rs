@@ -74,6 +74,11 @@ impl Args {
 /// full scale corresponds to roughly `scale = 5000`.
 pub fn scaled_protocol(scale: f64, seed: u64) -> ProtocolConfig {
     let base = ProtocolConfig::default();
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "scale is a positive multiplier, so the rounded count is non-negative and far below usize::MAX"
+    )]
     let mul = |n: usize| ((n as f64 * scale).round() as usize).max(1);
     ProtocolConfig {
         train_per_topology: mul(base.train_per_topology),

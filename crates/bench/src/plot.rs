@@ -21,17 +21,29 @@ pub fn scatter(points: &[(f64, f64)], width: usize, height: usize) -> String {
     let pad = (hi - lo) * 0.03;
     let (lo, hi) = (lo - pad, hi + pad);
     let mut grid = vec![vec![b' '; width]; height];
-    // Diagonal y = x. The row index depends on the column, so this cannot
-    // be an iterator chain over `grid`.
-    #[allow(clippy::needless_range_loop)]
+    // Diagonal y = x.
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the row index depends on the column, so this cannot be an iterator chain over `grid`"
+    )]
     for c in 0..width {
         let x = lo + (hi - lo) * (c as f64 + 0.5) / width as f64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "x lies inside [lo, hi], so the scaled row is a non-negative screen coordinate; the bounds check below drops the edge"
+        )]
         let r = ((hi - x) / (hi - lo) * height as f64) as usize;
         if r < height {
             grid[r][c] = b'.';
         }
     }
     // Points (x: truth, y: prediction).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "points lie inside the padded [lo, hi] range, so both scale to non-negative screen coordinates; the bounds check drops the edge"
+    )]
     for &(x, y) in points {
         let c = (((x - lo) / (hi - lo)) * width as f64) as usize;
         let r = ((hi - y) / (hi - lo) * height as f64) as usize;
@@ -44,6 +56,10 @@ pub fn scatter(points: &[(f64, f64)], width: usize, height: usize) -> String {
         }
     }
     let mut out = String::new();
+    #[expect(
+        clippy::expect_used,
+        reason = "grid cells only ever hold ASCII glyphs written by this module"
+    )]
     for (i, row) in grid.iter().enumerate() {
         let label = if i == 0 {
             format!("{hi:9.3} |")
@@ -53,7 +69,6 @@ pub fn scatter(points: &[(f64, f64)], width: usize, height: usize) -> String {
             "          |".to_string()
         };
         out.push_str(&label);
-        // lint: allow(panic, reason = "grid cells only ever hold ASCII glyphs written by this module")
         out.push_str(std::str::from_utf8(row).expect("ascii"));
         out.push('\n');
     }
@@ -85,6 +100,11 @@ pub fn cdf_chart(series: &[(&str, &[(f64, f64)])], width: usize, height: usize) 
     let mut grid = vec![vec![b' '; width]; height];
     for (si, (_, pts)) in series.iter().enumerate() {
         let g = glyphs[si % glyphs.len()];
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "x is clipped to xmax and f is a CDF value in [0, 1], so both scale to in-range screen coordinates"
+        )]
         for &(x, f) in pts.iter() {
             if x > xmax {
                 continue;
@@ -95,10 +115,13 @@ pub fn cdf_chart(series: &[(&str, &[(f64, f64)])], width: usize, height: usize) 
         }
     }
     let mut out = String::new();
+    #[expect(
+        clippy::expect_used,
+        reason = "grid cells only ever hold ASCII glyphs written by this module"
+    )]
     for (i, row) in grid.iter().enumerate() {
         let frac = 1.0 - i as f64 / (height - 1) as f64;
         out.push_str(&format!("{frac:5.2} |"));
-        // lint: allow(panic, reason = "grid cells only ever hold ASCII glyphs written by this module")
         out.push_str(std::str::from_utf8(row).expect("ascii"));
         out.push('\n');
     }

@@ -97,7 +97,8 @@ const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
-        let mut c = i as u32; // lint: allow(cast, reason = "i < 256 fits u32 exactly")
+        #[expect(clippy::cast_possible_truncation, reason = "i < 256 fits u32 exactly")]
+        let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {

@@ -63,7 +63,8 @@ pub fn signed_relative_errors_counted(preds: &[f64], truths: &[f64]) -> (Vec<f64
     let mut errors = Vec::with_capacity(preds.len());
     let mut skipped = 0usize;
     for (&p, &t) in preds.iter().zip(truths) {
-        // lint: allow(float-eq, reason = "the simulator writes the unobserved-flow sentinel as exactly 0.0; epsilon matching would also swallow real tiny delays")
+        // The simulator writes the unobserved-flow sentinel as exactly 0.0;
+        // epsilon matching would also swallow real tiny delays.
         if t == 0.0 {
             skipped += 1;
         } else {
@@ -81,7 +82,17 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
     let mut v: Vec<f64> = xs.to_vec();
     v.sort_by(|a, b| a.total_cmp(b));
     let pos = q / 100.0 * (v.len() - 1) as f64;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "q in [0, 100] is asserted above, so pos lies in [0, len - 1]"
+    )]
     let lo = pos.floor() as usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "q in [0, 100] is asserted above, so pos lies in [0, len - 1]"
+    )]
     let hi = pos.ceil() as usize;
     if lo == hi {
         v[lo]
@@ -176,6 +187,11 @@ pub fn cdf_points(xs: &[f64], n_points: usize) -> Vec<(f64, f64)> {
     (0..n_points)
         .map(|i| {
             let q = i as f64 / (n_points - 1) as f64;
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "q lies in [0, 1], so the rounded index lies in 0..v.len()"
+            )]
             let idx = (q * (v.len() - 1) as f64).round() as usize;
             (v[idx], (idx + 1) as f64 / v.len() as f64)
         })

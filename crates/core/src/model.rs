@@ -18,6 +18,10 @@
 //! step over the whole batch → scatter messages into link inboxes) makes the
 //! tape length `O(T · max_path_len)` rather than `O(T · Σ|p|)`.
 
+// A hot path: every bare index must be proven in bounds or replaced by
+// `.get()`.
+#![deny(clippy::indexing_slicing)]
+
 use crate::batch::BatchedScenario;
 use crate::features::Normalizer;
 use crate::indexing::PathTensors;
@@ -272,7 +276,10 @@ impl RouteNet {
             .map(|k| {
                 let active = tensors.active_mask(k);
                 Tensor::from_fn(tensors.n_paths, self.config.path_state_dim, |r, _| {
-                    // lint: allow(panic, reason = "active_mask returns one flag per path row, r < n_paths")
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "active_mask returns one flag per path row, r < n_paths"
+                    )]
                     if active[r] {
                         0.0
                     } else {
@@ -308,12 +315,19 @@ impl RouteNet {
             // Accumulate messages into per-link inboxes as we go.
             let mut link_inbox: Option<Var> = None;
             for k in 0..idx.max_len {
-                let pos = &idx.positions[k]; // lint: allow(panic, reason = "positions holds max_len entries, k < max_len")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "positions holds max_len entries, k < max_len"
+                )]
+                let pos = &idx.positions[k];
                 let x = sess.tape.gather_rows(link_state, pos.link_idx.clone());
                 let h = sess.tape.gather_rows(path_state, pos.path_idx.clone());
                 let h_new = self.path_cell.step(sess, x, h);
                 // Replace the active rows of the path state.
-                // lint: allow(panic, reason = "keep_masks is built with max_len entries in compile, k < max_len")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "keep_masks is built with max_len entries in compile, k < max_len"
+                )]
                 let kept = sess.tape.mul_const(path_state, &compiled.keep_masks[k]);
                 let scattered =
                     sess.tape
@@ -422,11 +436,14 @@ impl RouteNet {
         let mut sess = Session::with_tape(&self.store, arena);
         let out = self.forward_batch(&mut sess, &batch);
         let all = self.extract_predictions(sess.tape.value(out));
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "sample_path_range partitions 0..n_paths and extract_predictions yields one row per path"
+        )]
         let preds = (0..batch.n_samples())
             .map(|s| {
                 let (lo, hi) = batch.sample_path_range(s);
                 debug_assert!(hi <= all.len(), "sample ranges partition the output rows");
-                // lint: allow(panic, reason = "sample_path_range partitions 0..n_paths and extract_predictions yields one row per path")
                 all[lo..hi].to_vec()
             })
             .collect();
@@ -458,6 +475,10 @@ impl RouteNet {
     }
 
     /// Serialize the full model (config + weights + normalizer) to JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "in-memory numeric data always serializes; f64 is emitted as a literal"
+    )]
     pub fn to_json(&self) -> String {
         let ckpt = Checkpoint {
             config: self.config.clone(),
@@ -467,7 +488,6 @@ impl RouteNet {
             readout: self.readout.clone(),
             norm: self.norm.clone(),
         };
-        // lint: allow(panic, reason = "in-memory numeric data always serializes; f64 is emitted as a literal")
         serde_json::to_string(&ckpt).expect("checkpoint serializes")
     }
 
@@ -516,7 +536,7 @@ impl KpiPredictor for RouteNet {
             if !hit {
                 cached = Some((&sc.routing, PathTensors::build(sc)));
             }
-            // lint: allow(panic, reason = "cached is installed on miss just above")
+            #[expect(clippy::expect_used, reason = "cached is installed on miss just above")]
             let index = &cached.as_ref().expect("index cached").1;
             let compiled = self.compile_with_index(sc, index.clone());
             let (preds, returned) = self.predict_batch_compiled_reuse(&[&compiled], arena);

@@ -24,6 +24,10 @@
 //!   (e.g. from a Ctrl-C handler) converts interruption into "checkpoint
 //!   the last epoch boundary and return cleanly" instead of data loss.
 
+// A hot path: every bare index must be proven in bounds or replaced by
+// `.get()`.
+#![deny(clippy::indexing_slicing)]
+
 use crate::batch::BatchedScenario;
 use crate::checkpoint::{CheckpointError, TrainState};
 use crate::features::Normalizer;
@@ -339,7 +343,10 @@ fn compile_items(
             // saw no packet): mask them out of the loss entirely.
             let observed: Vec<bool> = s.targets.iter().map(|t| t.delay_s > 0.0).collect();
             let target = Tensor::from_fn(n, out_dim, |r, c| {
-                // lint: allow(panic, reason = "r < n == targets.len() == observed.len()")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "r < n == targets.len() == observed.len()"
+                )]
                 if !observed[r] {
                     0.0
                 } else if c == 0 {
@@ -348,11 +355,14 @@ fn compile_items(
                     z.get(r, 1) * jw
                 } else {
                     // Drop head: raw probability (already in [0, 1]).
-                    s.targets[r].drop_prob * dw // lint: allow(panic, reason = "r < n == targets.len()")
+                    s.targets[r].drop_prob * dw
                 }
             });
             let col_weights = Tensor::from_fn(n, out_dim, |r, c| {
-                // lint: allow(panic, reason = "r < n == targets.len() == observed.len()")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "r < n == targets.len() == observed.len()"
+                )]
                 if !observed[r] {
                     0.0
                 } else if c == 0 {
@@ -391,17 +401,23 @@ fn resolve_threads(threads: usize) -> usize {
 fn stack_loss_tensors(items: &[Item], sub: &[usize]) -> (Arc<Tensor>, Tensor) {
     let mut rows = 0usize;
     let mut cols = 0usize;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sub indices are minted from 0..items.len() by the batch scheduler"
+    )]
     for &i in sub {
-        // lint: allow(panic, reason = "sub indices are minted from 0..items.len() by the batch scheduler")
         rows += items[i].target.rows();
-        cols = items[i].target.cols(); // lint: allow(panic, reason = "sub indices are minted from 0..items.len() by the batch scheduler")
+        cols = items[i].target.cols();
     }
     let mut wdata = Vec::with_capacity(rows * cols);
     let mut tdata = Vec::with_capacity(rows * cols);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sub indices are minted from 0..items.len() by the batch scheduler"
+    )]
     for &i in sub {
-        // lint: allow(panic, reason = "sub indices are minted from 0..items.len() by the batch scheduler")
         wdata.extend_from_slice(items[i].col_weights.data());
-        tdata.extend_from_slice(items[i].target.data()); // lint: allow(panic, reason = "sub indices are minted from 0..items.len() by the batch scheduler")
+        tdata.extend_from_slice(items[i].target.data());
     }
     (
         Arc::new(Tensor::from_vec(rows, cols, wdata)),
@@ -421,7 +437,10 @@ fn batched_sub_losses(
     sub: &[usize],
     arena: Tape,
 ) -> (Vec<SampleGrad>, Tape) {
-    // lint: allow(panic, reason = "sub indices are minted from 0..items.len() by the batch scheduler")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sub indices are minted from 0..items.len() by the batch scheduler"
+    )]
     let compiled: Vec<&CompiledScenario> = sub.iter().map(|&i| &items[i].compiled).collect();
     let batch = BatchedScenario::pack(&compiled);
     let (weights, targets) = stack_loss_tensors(items, sub);
@@ -447,7 +466,10 @@ fn batched_sub_loss_values(
     sub: &[usize],
     arena: Tape,
 ) -> (Vec<f64>, Tape) {
-    // lint: allow(panic, reason = "sub indices are minted from 0..items.len() by the batch scheduler")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sub indices are minted from 0..items.len() by the batch scheduler"
+    )]
     let compiled: Vec<&CompiledScenario> = sub.iter().map(|&i| &items[i].compiled).collect();
     let batch = BatchedScenario::pack(&compiled);
     let (weights, targets) = stack_loss_tensors(items, sub);
@@ -487,6 +509,11 @@ fn batched_loss_values(
 /// assignment (DESIGN.md "Parallelism safety contract"). The sequential
 /// interleave restores `chunk` order, so the downstream reduction is
 /// byte-identical at any thread count.
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "worker w holds exactly the indices k with k % workers == w, so each next() yields"
+)]
 fn minibatch_losses(
     model: &RouteNet,
     items: &[Item],
@@ -495,16 +522,23 @@ fn minibatch_losses(
     arenas: &mut [Tape],
 ) -> Vec<SampleGrad> {
     let workers = resolve_threads(threads).min(chunk.len()).min(arenas.len());
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "train_with_control sizes arenas to at least one slot"
+    )]
     if workers <= 1 {
-        // lint: allow(panic, reason = "train_with_control sizes arenas to at least one slot")
         let arena = std::mem::take(&mut arenas[0]);
         let (out, returned) = batched_sub_losses(model, items, chunk, arena);
-        arenas[0] = returned; // lint: allow(panic, reason = "train_with_control sizes arenas to at least one slot")
+        arenas[0] = returned;
         return out;
     }
     // Each worker owns its arena for the duration of the scope and returns
     // it through the join handle; the slots are refilled sequentially after
     // the join so no spawned closure writes shared state.
+    #[expect(
+        clippy::expect_used,
+        reason = "worker panics are programming errors; propagating them is the intent"
+    )]
     let results: Vec<(Vec<SampleGrad>, Tape)> = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for (w, slot) in arenas.iter_mut().take(workers).enumerate() {
@@ -516,11 +550,10 @@ fn minibatch_losses(
         }
         handles
             .into_iter()
-            // lint: allow(panic, reason = "worker panics are programming errors; propagating them is the intent")
             .map(|h| h.join().expect("training workers do not panic"))
             .collect()
     })
-    .expect("training scope joins cleanly"); // lint: allow(panic, reason = "worker panics are programming errors; propagating them is the intent")
+    .expect("training scope joins cleanly");
     let mut parts = Vec::with_capacity(workers);
     for ((out, returned), slot) in results.into_iter().zip(arenas.iter_mut()) {
         *slot = returned;
@@ -528,7 +561,6 @@ fn minibatch_losses(
     }
     let mut iters: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
     (0..chunk.len())
-        // lint: allow(panic, reason = "worker w holds exactly the indices k with k % workers == w, so each next() yields")
         .map(|k| iters[k % workers].next().expect("stride invariant"))
         .collect()
 }
@@ -577,6 +609,10 @@ fn validate_samples(set: &'static str, samples: &[Sample]) -> Result<(), TrainEr
 /// the resumed run would silently differ from the uninterrupted one.
 /// `epochs`, `threads`, `verbose`, and the checkpoint/resume paths are free
 /// to change.
+#[expect(
+    clippy::float_cmp,
+    reason = "a resumed run must match the checkpoint bit for bit, so float fields compare exactly"
+)]
 fn check_resume_compat(saved: &TrainConfig, cur: &TrainConfig) -> Result<(), TrainError> {
     macro_rules! require_eq {
         ($field:ident) => {

@@ -158,6 +158,10 @@ pub fn generate_sample(cfg: &GenConfig, i: usize) -> Sample {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = cfg.topology.build();
     assign_capacities(&mut graph, &cfg.capacities, &mut rng);
+    #[expect(
+        clippy::expect_used,
+        reason = "generator only emits strongly connected graphs; routing cannot fail"
+    )]
     let routing: RoutingScheme = match &cfg.routing {
         RoutingDiversity::Fixed => shortest_path_routing(&graph),
         RoutingDiversity::Randomized { spread } => randomized_routing(&graph, *spread, &mut rng),
@@ -174,7 +178,7 @@ pub fn generate_sample(cfg: &GenConfig, i: usize) -> Sample {
             destination_based_routing(&pg)
         }
     }
-    .expect("zoo/generator topologies are strongly connected"); // lint: allow(panic, reason = "generator only emits strongly connected graphs; routing cannot fail")
+    .expect("zoo/generator topologies are strongly connected");
     let intensity = rng.gen_range(cfg.intensity_min..=cfg.intensity_max);
     let traffic = sample_traffic_matrix(&graph, &routing, &cfg.traffic, intensity, &mut rng);
     // Strip the telemetry handle: a dataset run simulates hundreds of
@@ -186,12 +190,15 @@ pub fn generate_sample(cfg: &GenConfig, i: usize) -> Sample {
         telemetry: Telemetry::disabled(),
         ..cfg.sim.clone()
     };
-    // lint: allow(panic, reason = "config built from validated GenConfig fields; a rejection is a generator bug")
+    #[expect(
+        clippy::expect_used,
+        reason = "config built from validated GenConfig fields; a rejection is a generator bug"
+    )]
     let result = simulate(&graph, &routing, &traffic, &sim_cfg).expect("valid sim config");
     // Map flows back to canonical pair order explicitly (robust even if a
     // traffic model produced zero-demand pairs, which carry no flow).
     // Ordered map: label construction must stay deterministic even if this
-    // is ever iterated (determinism rule, RN101).
+    // is ever iterated (clippy's hash-iteration lints).
     let mut by_pair = std::collections::BTreeMap::new();
     for f in &result.flows {
         by_pair.insert(
@@ -284,6 +291,10 @@ pub fn generate_dataset_with_threads(cfg: &GenConfig, workers: usize) -> Vec<Sam
         // w+workers, ... into its own Vec (each sample still seeds its own
         // RNG from `base_seed + i`), and the sequential interleave below
         // restores index order — byte-identical output at any worker count.
+        #[expect(
+            clippy::expect_used,
+            reason = "worker panics are programming errors; propagating them is the intent"
+        )]
         let parts: Vec<Vec<(Sample, f64)>> = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
@@ -299,16 +310,18 @@ pub fn generate_dataset_with_threads(cfg: &GenConfig, workers: usize) -> Vec<Sam
             }
             handles
                 .into_iter()
-                // lint: allow(panic, reason = "worker panics are programming errors; propagating them is the intent")
                 .map(|h| h.join().expect("worker threads do not panic"))
                 .collect()
         })
-        .expect("generation scope joins cleanly"); // lint: allow(panic, reason = "worker panics are programming errors; propagating them is the intent")
+        .expect("generation scope joins cleanly");
         let mut iters: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
         let mut times = Vec::with_capacity(cfg.n_samples);
         let samples = (0..cfg.n_samples)
             .map(|i| {
-                // lint: allow(panic, reason = "worker w holds exactly the indices i with i % workers == w, so each next() yields")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "worker w holds exactly the indices i with i % workers == w, so each next() yields"
+                )]
                 let (s, dt) = iters[i % workers].next().expect("stride invariant");
                 times.push(dt);
                 s

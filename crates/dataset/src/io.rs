@@ -114,7 +114,10 @@ pub fn save_jsonl(path: impl AsRef<Path>, samples: &[Sample]) -> Result<(), IoEr
 pub fn save_jsonl_with(fs: &dyn FaultFs, path: &Path, samples: &[Sample]) -> Result<(), IoError> {
     let mut buf = Vec::new();
     for s in samples {
-        // lint: allow(panic, reason = "in-memory numeric data always serializes; f64 is emitted as a literal")
+        #[expect(
+            clippy::expect_used,
+            reason = "in-memory numeric data always serializes; f64 is emitted as a literal"
+        )]
         let line = serde_json::to_string(s).expect("samples serialize");
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');

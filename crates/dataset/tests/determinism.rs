@@ -1,6 +1,7 @@
 //! Two-run determinism: dataset generation must be byte-identical for the
-//! same seed. This is the contract the analyzer's determinism rule (RN101)
-//! guards statically — any hash-order dependence in topology generation,
+//! same seed. This is the contract clippy's hash-iteration lints
+//! (`iter_over_hash_type` and the `clippy.toml` disallowed methods) guard
+//! statically — any hash-order dependence in topology generation,
 //! routing, traffic sampling, simulation, or label assembly shows up here as
 //! a serialized-sample mismatch.
 

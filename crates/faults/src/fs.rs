@@ -3,10 +3,16 @@
 //! implementation, a per-operation retry decorator, and the canonical
 //! atomic-write protocol built on top of the seam.
 //!
-//! This module is the **only** place in the seam-adopting crates
-//! (`routenet-core`, `routenet-dataset`, `routenet-obs`) allowed to touch
-//! `std::fs` directly; the analyzer's `io-seam` rule (RN301) denies direct
-//! use elsewhere.
+//! This module is the **only** library code in the workspace allowed to
+//! touch `std::fs` directly; clippy's `disallowed_methods` and
+//! `disallowed_types` lints (configured in `clippy.toml`) deny direct use
+//! elsewhere.
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "this module is the IO seam itself: the one place that wraps std::fs"
+)]
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -165,7 +171,11 @@ impl FaultFs for InjectFs {
                 self.real.write_all(file, &bytes[..keep])?;
                 // Make the torn prefix visible on disk the way a crash
                 // would, then report the failure.
-                let _ = self.real.sync_all(file); // lint: allow(error-discard, reason = "best-effort flush of a deliberately torn write; the injected error below is the outcome under test")
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort flush of a deliberately torn write; the injected error below is the outcome under test"
+                )]
+                let _ = self.real.sync_all(file);
                 Err(FaultKind::TornWrite { keep_bytes }.to_error())
             }
             _ => self.real.write_all(file, bytes),
@@ -393,13 +403,21 @@ pub fn atomic_write_with(fs: &dyn FaultFs, path: &Path, bytes: &[u8]) -> std::io
         drop(file);
         fs.rename(&tmp, path)?;
         if let Some(d) = dir {
-            let _ = fs.sync_dir(d); // lint: allow(error-discard, reason = "directory fsync is best-effort durability hardening; the data file itself is already synced")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "directory fsync is best-effort durability hardening; the data file itself is already synced"
+            )]
+            let _ = fs.sync_dir(d);
         }
         Ok(())
     })();
 
     if result.is_err() {
-        let _ = fs.remove_file(&tmp); // lint: allow(error-discard, reason = "best-effort cleanup of the temp file on the failure path; the original error is what matters")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup of the temp file on the failure path; the original error is what matters"
+        )]
+        let _ = fs.remove_file(&tmp);
     }
     result
 }

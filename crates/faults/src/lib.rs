@@ -30,9 +30,9 @@
 //!   [`FsHandle::with_retry`] stacks the policy on any seam handle as a
 //!   per-operation decorator.
 //!
-//! The analyzer's `io-seam` rule (RN301) denies direct `std::fs` use in the
-//! crates that adopted the seam, so the boundary is enforced, not
-//! aspirational.
+//! Clippy's `disallowed_methods`/`disallowed_types` lints (lists in
+//! `clippy.toml`) deny direct `std::fs` use in every library crate but
+//! [`fs`] itself, so the boundary is enforced, not aspirational.
 
 pub mod fs;
 pub mod plan;

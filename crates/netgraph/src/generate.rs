@@ -30,6 +30,10 @@ impl EdgeSet {
 
     fn into_graph(self, name: &str, n: usize) -> Graph {
         let mut g = Graph::new(name, n);
+        #[expect(
+            clippy::expect_used,
+            reason = "EdgeSet normalizes pairs: no self-loops or duplicates by construction"
+        )]
         for (a, b) in self.edges {
             g.add_duplex(
                 NodeId(a),
@@ -37,7 +41,6 @@ impl EdgeSet {
                 DEFAULT_CAPACITY_BPS,
                 DEFAULT_PROP_DELAY_S,
             )
-            // lint: allow(panic, reason = "EdgeSet normalizes pairs: no self-loops or duplicates by construction")
             .expect("EdgeSet guarantees validity");
         }
         g
@@ -80,9 +83,15 @@ fn repair_connectivity<R: Rng>(edges: &mut EdgeSet, n: usize, rng: &mut R) {
         };
         let members_a: Vec<usize> = (0..n).filter(|&x| find(&mut parent, x) == ra).collect();
         let members_b: Vec<usize> = (0..n).filter(|&x| find(&mut parent, x) == rb).collect();
-        // lint: allow(panic, reason = "every union-find root has at least its own member")
+        #[expect(
+            clippy::expect_used,
+            reason = "every union-find root has at least its own member"
+        )]
         let a = *members_a.choose(rng).expect("non-empty component");
-        // lint: allow(panic, reason = "every union-find root has at least its own member")
+        #[expect(
+            clippy::expect_used,
+            reason = "every union-find root has at least its own member"
+        )]
         let b = *members_b.choose(rng).expect("non-empty component");
         edges.insert(a, b);
         let (fa, fb) = (find(&mut parent, a), find(&mut parent, b));

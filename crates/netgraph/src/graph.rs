@@ -334,12 +334,11 @@ impl Graph {
     /// Render as Graphviz DOT (duplex link pairs collapsed to one undirected
     /// edge, labeled with capacity in kbps). Handy for eyeballing generated
     /// topologies: `dot -Tsvg`.
+    #[expect(clippy::expect_used, reason = "fmt::Write to String never errors")]
     pub fn to_dot(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        // lint: allow(panic, reason = "fmt::Write to String never errors")
         writeln!(out, "graph \"{}\" {{", self.name).expect("write to String");
-        // lint: allow(panic, reason = "fmt::Write to String never errors")
         writeln!(out, "  layout=neato; node [shape=circle];").expect("write");
         let mut done = std::collections::HashSet::new();
         for (_, l) in self.links() {
@@ -355,7 +354,6 @@ impl Graph {
                     key.1,
                     l.capacity_bps / 1e3
                 )
-                // lint: allow(panic, reason = "fmt::Write to String never errors")
                 .expect("write");
             } else {
                 writeln!(
@@ -365,7 +363,6 @@ impl Graph {
                     l.dst.0,
                     l.capacity_bps / 1e3
                 )
-                // lint: allow(panic, reason = "fmt::Write to String never errors")
                 .expect("write");
             }
         }

@@ -29,6 +29,10 @@ pub const DEFAULT_PROP_DELAY_S: f64 = 0.0;
 
 fn from_edges(name: &str, n: usize, edges: &[(usize, usize)]) -> Graph {
     let mut g = Graph::new(name, n);
+    #[expect(
+        clippy::expect_used,
+        reason = "edge lists are compile-time constants validated by tests"
+    )]
     for &(a, b) in edges {
         g.add_duplex(
             NodeId(a),
@@ -36,7 +40,6 @@ fn from_edges(name: &str, n: usize, edges: &[(usize, usize)]) -> Graph {
             DEFAULT_CAPACITY_BPS,
             DEFAULT_PROP_DELAY_S,
         )
-        // lint: allow(panic, reason = "edge lists are compile-time constants validated by tests")
         .expect("topology zoo edge lists are valid");
     }
     g
@@ -224,7 +227,7 @@ pub fn assign_capacities<R: Rng>(g: &mut Graph, scheme: &CapacityScheme, rng: &m
         CapacityScheme::Choice(set) => {
             assert!(!set.is_empty(), "capacity choice set must be non-empty");
             // Ordered map: capacity assignment must stay deterministic even
-            // if this is ever iterated (determinism rule, RN101).
+            // if this is ever iterated (clippy's hash-iteration lints).
             use std::collections::BTreeMap;
             let mut per_pair: BTreeMap<(usize, usize), f64> = BTreeMap::new();
             let ids: Vec<_> = g

@@ -148,14 +148,20 @@ impl Mlp {
     }
 
     /// Input width.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor asserts dims.len() >= 2, so layers is non-empty"
+    )]
     pub fn in_dim(&self) -> usize {
-        // lint: allow(panic, reason = "constructor asserts dims.len() >= 2, so layers is non-empty")
         self.layers.first().expect("non-empty").in_dim()
     }
 
     /// Output width.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor asserts dims.len() >= 2, so layers is non-empty"
+    )]
     pub fn out_dim(&self) -> usize {
-        // lint: allow(panic, reason = "constructor asserts dims.len() >= 2, so layers is non-empty")
         self.layers.last().expect("non-empty").out_dim()
     }
 }

@@ -135,9 +135,15 @@ impl Adam {
     /// Apply one update step.
     pub fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
         self.t += 1;
-        // lint: allow(cast, reason = "Adam step counts stay many orders of magnitude below i32::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "Adam step counts stay many orders of magnitude below i32::MAX"
+        )]
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        // lint: allow(cast, reason = "Adam step counts stay many orders of magnitude below i32::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "Adam step counts stay many orders of magnitude below i32::MAX"
+        )]
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         debug_assert!(
             bc1 > 0.0 && bc2 > 0.0,

@@ -111,8 +111,11 @@ impl ParamStore {
     }
 
     /// Serialize all parameters to JSON (model checkpoint).
+    #[expect(
+        clippy::expect_used,
+        reason = "in-memory numeric data always serializes; f64 is emitted as a literal"
+    )]
     pub fn to_json(&self) -> String {
-        // lint: allow(panic, reason = "in-memory numeric data always serializes; f64 is emitted as a literal")
         serde_json::to_string(self).expect("ParamStore serializes")
     }
 

@@ -29,6 +29,10 @@
 //! per-segment gradient partials separate so a batched backward associates
 //! floating-point sums exactly like running the samples one at a time.
 
+// A hot path: every bare index must be proven in bounds or replaced by
+// `.get()`.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -211,9 +215,13 @@ impl Tape {
     ///
     /// INVARIANT: every `Var` is minted by `push` on this tape and therefore
     /// indexes into `nodes`; tapes are not interchangeable across sessions.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Var minted by this tape, see INVARIANT above"
+    )]
     pub fn value(&self, v: Var) -> &Tensor {
         debug_assert!(v.0 < self.nodes.len(), "Var from a different tape");
-        &self.nodes[v.0].value // lint: allow(panic, reason = "Var minted by this tape, see INVARIANT above")
+        &self.nodes[v.0].value
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> Var {
@@ -566,9 +574,13 @@ impl Tape {
             assert!(hi > lo, "seg_mse requires non-empty segments");
             let n = ((hi - lo) * cols) as f64;
             debug_assert!(n > 0.0, "segments are non-empty and cols > 0");
-            let loss = p.data()[lo * cols..hi * cols] // lint: allow(panic, reason = "segment offsets validated against pred rows above")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "segment offsets validated against pred rows, and target shape equals pred shape, both asserted above"
+            )]
+            let loss = p.data()[lo * cols..hi * cols]
                 .iter()
-                .zip(&target.data()[lo * cols..hi * cols]) // lint: allow(panic, reason = "target shape equals pred shape, asserted above")
+                .zip(&target.data()[lo * cols..hi * cols])
                 .map(|(&a, &b)| (a - b) * (a - b))
                 .sum::<f64>()
                 / n;
@@ -645,22 +657,25 @@ impl Tape {
     /// INVARIANT: `grads` has exactly one slot per tape node, so every node
     /// id (and every `Var` recorded inside an op, which predates its node)
     /// indexes into it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one grad slot per node and i <= loss.0 < nodes.len() == grads.len(), see INVARIANT above"
+    )]
     pub fn backward(&self, loss: Var) -> Gradients {
         assert_eq!(self.value(loss).shape(), (1, 1), "loss must be scalar");
         debug_assert!(loss.0 < self.nodes.len(), "loss Var from a different tape");
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
         let mut seg: Vec<Option<Vec<Option<Tensor>>>> =
             (0..self.nodes.len()).map(|_| None).collect();
-        grads[loss.0] = Some(Tensor::from_vec(1, 1, vec![1.0])); // lint: allow(panic, reason = "one grad slot per node, see INVARIANT above")
+        grads[loss.0] = Some(Tensor::from_vec(1, 1, vec![1.0]));
         for i in (0..=loss.0).rev() {
-            // lint: allow(panic, reason = "i <= loss.0 < nodes.len() == grads.len()")
             let Some(g) = grads[i].take() else { continue };
             debug_assert!(
                 self.poisoned || g.all_finite(),
                 "non-finite gradient reached node {i} on a clean tape"
             );
             self.accumulate(i, &g, &mut grads, &mut seg);
-            grads[i] = Some(g); // lint: allow(panic, reason = "same in-bounds index as the take above")
+            grads[i] = Some(g);
         }
         Gradients { grads, seg }
     }
@@ -683,7 +698,10 @@ impl Tape {
                 "non-finite partial for node {} on a clean tape",
                 v.0
             );
-            // lint: allow(panic, reason = "operand Vars predate node i, see INVARIANT above")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "operand Vars predate node i, see INVARIANT above"
+            )]
             match &mut grads[v.0] {
                 Some(existing) => existing.add_scaled(&delta, 1.0),
                 slot @ None => *slot = Some(delta),
@@ -702,16 +720,26 @@ impl Tape {
                 "non-finite seg partial for node {} on a clean tape",
                 v.0
             );
-            // lint: allow(panic, reason = "operand Vars predate node i, see INVARIANT above")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "operand Vars predate node i, see INVARIANT above"
+            )]
             let slots = seg[v.0].get_or_insert_with(|| (0..n_seg).map(|_| None).collect());
             debug_assert_eq!(slots.len(), n_seg, "segment count mismatch across ops");
-            // lint: allow(panic, reason = "s < n_seg == slots.len() by construction")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "s < n_seg == slots.len() by construction"
+            )]
             match &mut slots[s] {
                 Some(existing) => existing.add_scaled(&delta, 1.0),
                 slot @ None => *slot = Some(delta),
             }
         };
-        let node = &self.nodes[i]; // lint: allow(panic, reason = "i bounds-checked by the debug_assert above, see INVARIANT")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i bounds-checked by the debug_assert above, see INVARIANT"
+        )]
+        let node = &self.nodes[i];
         match &node.op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {

@@ -203,7 +203,6 @@ impl Tensor {
             let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
-                // lint: allow(float-eq, reason = "exact-zero sparsity skip; any nonzero magnitude must multiply")
                 if a == 0.0 {
                     continue;
                 }
@@ -236,7 +235,6 @@ impl Tensor {
             let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
             for k in lo..hi {
                 let a = self.data[k * self.cols + i];
-                // lint: allow(float-eq, reason = "exact-zero sparsity skip; any nonzero magnitude must multiply")
                 if a == 0.0 {
                     continue;
                 }

@@ -283,6 +283,11 @@ impl Histogram {
         let clamped = raw.max(self.lo);
         let b = self.counts.len() as f64;
         let t = (clamped / self.lo).ln() / (self.hi / self.lo).ln();
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the bin position is floored at zero, and min() clamps it to the last bin"
+        )]
         let i = ((t * b).floor().max(0.0) as usize).min(self.counts.len() - 1);
         if let Some(c) = self.counts.get_mut(i) {
             *c += 1;
@@ -322,6 +327,11 @@ impl Histogram {
         if self.total == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "q in (0, 1] is asserted above, so target lies in 1..=total"
+        )]
         let target = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut cum = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {

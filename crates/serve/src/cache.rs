@@ -9,7 +9,7 @@
 //! cache holds at most a handful of entries, [`RoutingScheme`] equality
 //! short-circuits on the first differing path, and — unlike a hash map —
 //! scan order is insertion order, keeping the daemon free of hash-order
-//! nondeterminism (RN101 scope).
+//! nondeterminism (denied in library code by clippy's hash-iteration lints).
 
 use routenet_core::indexing::PathTensors;
 use routenet_core::Scenario;

@@ -109,7 +109,10 @@ impl Engine {
             })
             .collect();
         let refs: Vec<_> = compiled.iter().collect();
-        // lint: allow(panic, reason = "arena is only vacant inside this call; both exits restore it")
+        #[expect(
+            clippy::expect_used,
+            reason = "arena is only vacant inside this call; both exits restore it"
+        )]
         let arena = self.arena.take().expect("arena present between batches");
         let (preds, mut arena) = self.model.predict_batch_compiled_reuse(&refs, arena);
         arena.trim_pool(ARENA_POOL_CAP);

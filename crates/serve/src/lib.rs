@@ -16,7 +16,7 @@
 //!   `Scenario` JSON the dataset files use.
 //! - **Plan cache** ([`cache`]): per-topology [`PathTensors`] indexings keyed
 //!   by routing equality, FIFO-evicted, deterministic (no hash-order
-//!   iteration anywhere — this crate is in the analyzer's RN101 scope).
+//!   iteration anywhere — clippy's hash-iteration lints deny it here).
 //! - **Micro-batching** ([`server`]): a bounded queue feeds one batcher
 //!   thread that drains up to `max_batch` queries per window and runs them
 //!   as ONE batched forward pass, reusing a single arena tape.

@@ -153,10 +153,18 @@ impl Server {
     /// end-of-run `Serve` digest, and flush telemetry. Returns the deferred
     /// telemetry sink failure, if any.
     #[must_use = "ignoring the result hides deferred telemetry sink failures"]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the batch-size maximum is a whole, non-negative count"
+    )]
     pub fn finish(mut self) -> std::io::Result<()> {
         self.shared.stop();
         if let Some(b) = self.batcher.take() {
-            // lint: allow(error-discard, reason = "a panicked batcher already printed its panic; finish must still flush telemetry")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked batcher already printed its panic; finish must still flush telemetry"
+            )]
             let _ = b.join();
         }
         let tel = &self.shared.tel;
@@ -292,7 +300,10 @@ impl ServerHandle {
 
     fn respond(&self, tx: &mpsc::Sender<String>, resp: Response) {
         self.shared.tel.counter_add(metrics::RESPONSES, 1);
-        // lint: allow(error-discard, reason = "a disconnected client cannot receive its response; dropping it is the only option")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a disconnected client cannot receive its response; dropping it is the only option"
+        )]
         let _ = tx.send(resp.to_line());
     }
 }
@@ -340,7 +351,10 @@ fn run_batcher(mut engine: Engine, shared: &Shared) {
             .observe_s(metrics::BATCH_SIZE, batch.len() as f64);
         for (job, p) in batch.into_iter().zip(preds) {
             shared.tel.counter_add(metrics::RESPONSES, 1);
-            // lint: allow(error-discard, reason = "a disconnected client cannot receive its response; dropping it is the only option")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a disconnected client cannot receive its response; dropping it is the only option"
+            )]
             let _ = job.tx.send(Response::ok(job.id, p).to_line());
             shared
                 .tel
@@ -361,7 +375,7 @@ pub fn serve_tcp(listener: TcpListener, server: &Server) -> std::io::Result<()> 
             Ok((stream, _addr)) => {
                 let handle = server.handle();
                 conns.push(thread::spawn(move || {
-                    // lint: allow(error-discard, reason = "a connection dying mid-dialogue is the peer's business; the daemon keeps serving")
+                    #[expect(clippy::let_underscore_must_use, reason = "a connection dying mid-dialogue is the peer's business; the daemon keeps serving")]
                     let _ = serve_connection(stream, &handle);
                 }));
             }
@@ -403,7 +417,10 @@ fn serve_connection(stream: std::net::TcpStream, handle: &ServerHandle) -> std::
         }
     }
     drop(tx); // writer drains pending responses, then exits
-              // lint: allow(error-discard, reason = "writer thread cannot panic; join failure would only repeat a peer disconnect")
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writer thread cannot panic; join failure would only repeat a peer disconnect"
+    )]
     let _ = writer.join();
     Ok(())
 }
@@ -440,7 +457,10 @@ pub fn serve_pipe(
     // afterwards ends the writer once the drained responses are written.
     server.stop();
     drop(tx);
-    // lint: allow(error-discard, reason = "writer thread cannot panic; join failure would only repeat a closed pipe")
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writer thread cannot panic; join failure would only repeat a closed pipe"
+    )]
     let _ = writer.join();
     Ok(())
 }

@@ -86,8 +86,11 @@ impl Response {
     }
 
     /// Serialize to one wire line (no trailing newline).
+    #[expect(
+        clippy::expect_used,
+        reason = "in-memory numeric data always serializes"
+    )]
     pub fn to_line(&self) -> String {
-        // lint: allow(panic, reason = "in-memory numeric data always serializes")
         serde_json::to_string(self).expect("response serializes")
     }
 }

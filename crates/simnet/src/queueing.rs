@@ -331,13 +331,17 @@ impl Mm1kLink {
         assert!(lambda_pps >= 0.0 && lambda_pps.is_finite());
         assert!(k >= 1, "system must hold at least the packet in service");
         let rho = lambda_pps / mu_pps;
-        // lint: allow(float-eq, reason = "idle-link special case is an exact zero arrival rate")
+        // The idle-link special case is an exact zero arrival rate.
         let (block_prob, mean_l) = if lambda_pps == 0.0 {
             (0.0, 0.0)
         } else if (rho - 1.0).abs() < 1e-12 {
             (1.0 / (k as f64 + 1.0), k as f64 / 2.0)
         } else {
-            // lint: allow(cast, reason = "queue capacities are small integers, far below i32::MAX")
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_possible_wrap,
+                reason = "queue capacities are small integers, far below i32::MAX"
+            )]
             let rk = rho.powi(k as i32);
             let rk1 = rk * rho;
             // rho is positive and bounded away from 1 by the branch above, so

@@ -18,6 +18,10 @@
 //! link is exactly an M/M/1 queue, which the property tests exploit to
 //! validate the simulator against closed forms from [`crate::queueing`].
 
+// A hot path: every bare index must be proven in bounds or replaced by
+// `.get()`.
+#![deny(clippy::indexing_slicing)]
+
 use crate::stats::{DelayAccumulator, FlowStats, LogHistogram, SimResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -332,13 +336,16 @@ pub fn simulate(
 
     // Initial arrivals.
     for (i, f) in flows.iter_mut().enumerate() {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "flow count validated against u32::MAX above"
+        )]
         if f.rate_pps > 0.0 {
             let t = next_arrival_time(0.0, f, &cfg.arrivals, &mut rng);
             push(
                 &mut heap,
                 &mut seq,
                 t,
-                // lint: allow(cast, reason = "flow count validated against u32::MAX above")
                 EventKind::SourceArrival { flow: i as u32 },
             );
         }
@@ -363,9 +370,12 @@ pub fn simulate(
         heap_high_water = heap_high_water.max(heap.len() + 1);
         match kind {
             EventKind::SourceArrival { flow } => {
-                // lint: allow(cast, reason = "u32 to usize is widening on supported targets")
-                let f = &mut flows[flow as usize]; // lint: allow(panic, reason = "events only carry flow ids minted from this flows vec")
-                                                   // Generate this packet (if within horizon) and schedule next.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "events only carry flow ids minted from this flows vec"
+                )]
+                let f = &mut flows[flow as usize];
+                // Generate this packet (if within horizon) and schedule next.
                 if now < cfg.duration_s {
                     let size = sample_size(cfg, &mut rng);
                     total_packets += 1;
@@ -392,8 +402,11 @@ pub fn simulate(
                 size_bits,
                 gen_time,
             } => {
-                // lint: allow(cast, reason = "u32 to usize is widening on supported targets")
-                let f = &mut flows[flow as usize]; // lint: allow(panic, reason = "events only carry flow ids minted from this flows vec")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "events only carry flow ids minted from this flows vec"
+                )]
+                let f = &mut flows[flow as usize];
                 let measured = gen_time >= cfg.warmup_s;
                 if hop as usize == f.path.len() {
                     // Delivered to destination.
@@ -406,10 +419,17 @@ pub fn simulate(
                     }
                     continue;
                 }
-                // lint: allow(cast, reason = "u16 to usize is widening on supported targets")
-                let lid = f.path[hop as usize]; // lint: allow(panic, reason = "hop < path.len(): the delivery check above continues at ==")
-                let link = &mut links[lid.0]; // lint: allow(panic, reason = "path link ids validated against g.n_links() at entry")
-                                              // Lazily prune departures that already happened.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "hop < path.len(): the delivery check above continues at =="
+                )]
+                let lid = f.path[hop as usize];
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "path link ids validated against g.n_links() at entry"
+                )]
+                let link = &mut links[lid.0];
+                // Lazily prune departures that already happened.
                 while let Some(std::cmp::Reverse(Time(t))) = link.departures.peek() {
                     if *t <= now {
                         link.departures.pop();
@@ -656,7 +676,8 @@ fn next_arrival_time<R: Rng>(now: f64, f: &mut Flow, proc: &ArrivalProcess, rng:
             loop {
                 if t >= f.period_end {
                     // Start a new period where we stand.
-                    // lint: allow(float-eq, reason = "0.0 is the exact never-initialized sentinel assigned at flow creation")
+                    // 0.0 is the exact never-initialized sentinel assigned at
+                    // flow creation.
                     if f.period_end == 0.0 {
                         f.in_on = true; // all flows start ON at t=0
                     } else {

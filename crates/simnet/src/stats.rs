@@ -123,6 +123,11 @@ impl LogHistogram {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the bin position is floored at zero, and min() clamps it to the last bin"
+    )]
     fn bin_of(&self, x: f64) -> usize {
         debug_assert!(self.lo > 0.0 && self.hi > self.lo && x > 0.0);
         let b = self.counts.len() as f64;
@@ -150,6 +155,11 @@ impl LogHistogram {
         if self.total == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "q in (0, 1] is asserted above, so target lies in 1..=total"
+        )]
         let target = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut cum = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
@@ -171,6 +181,10 @@ impl LogHistogram {
     }
 
     /// Merge another histogram with identical bounds/bins.
+    #[expect(
+        clippy::float_cmp,
+        reason = "histograms merge only when built from the very same bounds, so they compare exactly"
+    )]
     pub fn merge(&mut self, other: &LogHistogram) {
         assert_eq!(self.counts.len(), other.counts.len(), "bin count mismatch");
         assert!(
