@@ -16,8 +16,7 @@
 //!    effects of every candidate, so the rules over-approximate rather than
 //!    miss a hazard.
 //! 3. **Effect inference**: direct effects per body (touches-RNG,
-//!    seeds-own-RNG, allocates, locks, does-IO, mutates-through-`&mut`),
-//!    then a fixed-point pass that propagates RNG and lock effects through
+//!    seeds-own-RNG, locks), then a fixed-point pass that propagates RNG and lock effects through
 //!    resolved calls. A function that *seeds its own RNG* from explicit
 //!    state (`seed_from_u64`, `from_seed`, ...) is a derivation boundary:
 //!    its stream is a pure function of its arguments, so neither its own
@@ -37,15 +36,8 @@ pub struct Effects {
     /// Body seeds an RNG from explicit state (`seed_from_u64`,
     /// `from_seed`, ...) — a per-call derived stream, not an ambient one.
     pub seeds_own_rng: bool,
-    /// Body allocates (`Vec::new`, `vec!`, `.clone()`, `.collect()`, ...).
-    pub allocates: bool,
     /// Body acquires a lock (`.lock(..)`).
     pub locks: bool,
-    /// Body does file/stream I/O.
-    pub does_io: bool,
-    /// Body writes through `&mut` state it did not create (`*x = ..`,
-    /// `self.field = ..`, or a `&mut` parameter).
-    pub mutates_state: bool,
 }
 
 /// One function node in the graph.
@@ -91,19 +83,6 @@ pub const RNG_METHODS: &[&str] = &[
 /// Constructors that derive an RNG stream from explicit state. A body that
 /// calls one owns its stream: callers see no RNG hazard through it.
 pub const RNG_SEEDERS: &[&str] = &["seed_from_u64", "from_seed", "from_state", "from_os_rng"];
-
-const ALLOC_IDENTS: &[&str] = &["Vec", "String", "Box", "BTreeMap", "BTreeSet", "HashMap"];
-const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
-const IO_IDENTS: &[&str] = &["File", "stdin", "stdout", "stderr", "OpenOptions"];
-const IO_METHODS: &[&str] = &[
-    "read_to_string",
-    "write_all",
-    "flush",
-    "read_dir",
-    "create_dir_all",
-    "remove_file",
-    "read_line",
-];
 
 /// Names too generic to resolve by name alone: uniting every `new` in the
 /// workspace would wire unrelated constructors into every call chain, and
@@ -223,7 +202,7 @@ fn collect_file(rel: &str, source: &str, nodes: &mut Vec<FnNode>) {
             name: f.name.clone(),
             qualified: owner.map(|ty| format!("{ty}::{}", f.name)),
             sig_line: f.sig_line,
-            direct: direct_effects(tokens, a, b),
+            direct: direct_effects(body),
             calls: call_sites(body),
             rng_hazard: false,
             lock_effect: false,
@@ -267,65 +246,21 @@ fn impl_owner_ranges(tokens: &[Token]) -> Vec<(usize, usize, String)> {
     out
 }
 
-/// Scan one body's tokens (`tokens[a..b]`) for direct effects.
-fn direct_effects(tokens: &[Token], a: usize, b: usize) -> Effects {
+/// Scan one body's tokens for direct effects.
+fn direct_effects(body: &[Token]) -> Effects {
     let mut e = Effects::default();
-    let body = &tokens[a..b.min(tokens.len())];
     for (i, t) in body.iter().enumerate() {
         if t.kind != TokenKind::Ident {
             continue;
         }
         let prev = i.checked_sub(1).and_then(|p| body.get(p));
-        let next = body.get(i + 1);
-        let is_method = prev.is_some_and(|p| p.text == ".") && next.is_some_and(|n| n.text == "(");
-        let is_call = next.is_some_and(|n| n.text == "(");
-        let is_macro = next.is_some_and(|n| n.text == "!");
+        let is_call = body.get(i + 1).is_some_and(|n| n.text == "(");
+        let is_method = is_call && prev.is_some_and(|p| p.text == ".");
         match t.text.as_str() {
             m if is_method && RNG_METHODS.contains(&m) => e.uses_rng = true,
             s if is_call && RNG_SEEDERS.contains(&s) => e.seeds_own_rng = true,
-            m if is_method && ALLOC_METHODS.contains(&m) => e.allocates = true,
-            m if is_method && IO_METHODS.contains(&m) => e.does_io = true,
             "lock" if is_method => e.locks = true,
-            "vec" | "format" if is_macro => e.allocates = true,
-            "println" | "eprintln" | "print" | "eprint" | "writeln" if is_macro => {
-                e.does_io = true;
-            }
-            id if ALLOC_IDENTS.contains(&id)
-                && next.is_some_and(|n| n.text == "::")
-                && matches!(
-                    body.get(i + 2),
-                    Some(c) if c.text == "new" || c.text == "with_capacity" || c.text == "from"
-                ) =>
-            {
-                e.allocates = true;
-            }
-            id if IO_IDENTS.contains(&id) && next.is_some_and(|n| n.text == "::") => {
-                e.does_io = true;
-            }
             _ => {}
-        }
-    }
-    // Writes through captured/borrowed state: `*x = ..` / `*x += ..`, or an
-    // assignment rooted at `self`.
-    for (i, t) in body.iter().enumerate() {
-        let assigns = t.text == "=" || is_compound_assign(&t.text);
-        if !assigns {
-            continue;
-        }
-        let mut j = i;
-        while j > 0 {
-            let p = &body[j - 1];
-            if p.kind == TokenKind::Ident || p.text == "." || p.text == "::" {
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        if j > 0 && body[j - 1].text == "*" {
-            e.mutates_state = true;
-        }
-        if body.get(j).is_some_and(|t| t.text == "self") && j < i {
-            e.mutates_state = true;
         }
     }
     e
@@ -406,7 +341,7 @@ mod tests {
             "fn f(rng: &mut R) -> f64 { let v = vec![1]; rng.gen_range(0.0..1.0) }",
         )]);
         let n = &g.nodes()[0];
-        assert!(n.direct.uses_rng && n.direct.allocates);
+        assert!(n.direct.uses_rng);
         assert!(!n.direct.seeds_own_rng && !n.direct.locks);
         assert!(n.rng_hazard);
     }
@@ -483,17 +418,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(names(&fwd), names(&rev));
-    }
-
-    #[test]
-    fn mutates_state_detected() {
-        let g = graph_of(&[(
-            "a.rs",
-            "impl S { fn bump(&mut self) { self.count += 1; } }\nfn deref(x: &mut f64) { *x = 1.0; }\nfn pure(y: f64) -> f64 { let z = y; z }",
-        )]);
-        let by_name = |n: &str| g.nodes().iter().find(|f| f.name == n).unwrap().clone();
-        assert!(by_name("bump").direct.mutates_state);
-        assert!(by_name("deref").direct.mutates_state);
-        assert!(!by_name("pure").direct.mutates_state);
     }
 }

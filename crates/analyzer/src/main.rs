@@ -1,70 +1,35 @@
 //! CLI for the workspace static-analysis gate.
 //!
 //! ```text
-//! routenet-analyzer --workspace [--root DIR] [--json FILE] [--changed-only]
-//!                   [--deny RULE] [--warn RULE]
-//!                   [--baseline FILE | --write-baseline FILE]
+//! routenet-analyzer --workspace [--root DIR] [--json FILE]
 //! routenet-analyzer [--json FILE] FILE.rs [FILE.rs ...]
 //! ```
 //!
-//! `--changed-only` restricts the rule passes to files reported changed by
-//! `git diff --name-only HEAD` plus untracked files — the fast pre-commit
-//! loop. The call graph and unit environment are still built over the whole
-//! workspace, and the changed set is expanded with every transitive *caller*
-//! file of the changed functions: interprocedural RN2xx/RN4xx findings
-//! report at the call site, so a callee-body edit must re-surface them in
-//! callers the diff did not touch.
-//!
-//! Exit codes: 0 clean (no deny-level findings after baseline subtraction),
-//! 1 deny-level findings or a stale baseline, 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 any finding (every rule fails the gate), 2 usage
+//! or I/O error, or no files found to analyze.
 
-use routenet_analyzer::rules::{Severity, RULE_NAMES};
-use routenet_analyzer::{
-    analyze_paths, analyze_workspace_filtered, expand_changed_files, find_workspace_root, Baseline,
-    Report,
-};
-use std::path::{Path, PathBuf};
+use routenet_analyzer::{analyze_paths, analyze_workspace, find_workspace_root, Report};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     workspace: bool,
-    changed_only: bool,
     root: Option<PathBuf>,
     json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    severity_overrides: Vec<(String, Severity)>,
     paths: Vec<PathBuf>,
-}
-
-fn parse_rule_arg(flag: &str, value: Option<String>) -> Result<String, String> {
-    let rule = value.ok_or(format!("{flag} requires a rule-name argument"))?;
-    if RULE_NAMES.contains(&rule.as_str()) {
-        Ok(rule)
-    } else {
-        Err(format!(
-            "{flag}: unknown rule `{rule}` (known: {})",
-            RULE_NAMES.join(", ")
-        ))
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workspace: false,
-        changed_only: false,
         root: None,
         json: None,
-        baseline: None,
-        write_baseline: None,
-        severity_overrides: Vec::new(),
         paths: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workspace" => args.workspace = true,
-            "--changed-only" => args.changed_only = true,
             "--root" => {
                 let v = it.next().ok_or("--root requires a directory argument")?;
                 args.root = Some(PathBuf::from(v));
@@ -72,24 +37,6 @@ fn parse_args() -> Result<Args, String> {
             "--json" => {
                 let v = it.next().ok_or("--json requires a file argument")?;
                 args.json = Some(PathBuf::from(v));
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline requires a file argument")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
-            "--write-baseline" => {
-                let v = it
-                    .next()
-                    .ok_or("--write-baseline requires a file argument")?;
-                args.write_baseline = Some(PathBuf::from(v));
-            }
-            "--deny" => {
-                let rule = parse_rule_arg("--deny", it.next())?;
-                args.severity_overrides.push((rule, Severity::Deny));
-            }
-            "--warn" => {
-                let rule = parse_rule_arg("--warn", it.next())?;
-                args.severity_overrides.push((rule, Severity::Warn));
             }
             "--help" | "-h" => {
                 return Err(String::new()); // triggers usage, exit 2
@@ -99,12 +46,6 @@ fn parse_args() -> Result<Args, String> {
             }
             path => args.paths.push(PathBuf::from(path)),
         }
-    }
-    if args.baseline.is_some() && args.write_baseline.is_some() {
-        return Err("--baseline and --write-baseline are mutually exclusive".to_string());
-    }
-    if args.changed_only && !args.workspace {
-        return Err("--changed-only requires --workspace".to_string());
     }
     if args.workspace == args.paths.is_empty() {
         Ok(args)
@@ -117,7 +58,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() {
     eprintln!(
-        "usage: routenet-analyzer --workspace [--root DIR] [--json FILE] [--changed-only]\n                          [--deny RULE] [--warn RULE]\n                          [--baseline FILE | --write-baseline FILE]\n       routenet-analyzer [--json FILE] FILE.rs [FILE.rs ...]"
+        "usage: routenet-analyzer --workspace [--root DIR] [--json FILE]\n       routenet-analyzer [--json FILE] FILE.rs [FILE.rs ...]"
     );
 }
 
@@ -133,43 +74,10 @@ fn resolve_root(args: &Args) -> Result<PathBuf, String> {
     }
 }
 
-/// Workspace-relative paths of `.rs` files `git` reports as modified
-/// (vs. HEAD) or untracked. Sorted and deduplicated.
-fn git_changed_files(root: &Path) -> Result<Vec<String>, String> {
-    let mut out: Vec<String> = Vec::new();
-    for extra in [
-        ["diff", "--name-only", "HEAD"].as_slice(),
-        ["ls-files", "--others", "--exclude-standard"].as_slice(),
-    ] {
-        let cmd = std::process::Command::new("git")
-            .args(extra)
-            .current_dir(root)
-            .output()
-            .map_err(|e| format!("cannot run git: {e}"))?;
-        if !cmd.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                extra.join(" "),
-                String::from_utf8_lossy(&cmd.stderr).trim()
-            ));
-        }
-        let stdout = String::from_utf8_lossy(&cmd.stdout);
-        for line in stdout.lines() {
-            let line = line.trim();
-            if line.ends_with(".rs") && root.join(line).is_file() {
-                out.push(line.to_string());
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    Ok(out)
-}
-
-fn run(args: &Args, changed: Option<&[String]>) -> Result<Report, String> {
+fn run(args: &Args) -> Result<Report, String> {
     if args.workspace {
         let root = resolve_root(args)?;
-        analyze_workspace_filtered(&root, changed).map_err(|e| e.to_string())
+        analyze_workspace(&root).map_err(|e| e.to_string())
     } else {
         analyze_paths(&args.paths).map_err(|e| e.to_string())
     }
@@ -186,41 +94,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let changed = if args.changed_only {
-        let root = match resolve_root(&args) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        };
-        match git_changed_files(&root) {
-            Ok(files) if files.is_empty() => Some(files),
-            Ok(files) => match expand_changed_files(&root, &files) {
-                Ok(expanded) => {
-                    let dependents = expanded.len().saturating_sub(files.len());
-                    if dependents > 0 {
-                        eprintln!(
-                            "changed-only: {} changed file(s) + {dependents} dependent caller file(s)",
-                            files.len()
-                        );
-                    }
-                    Some(expanded)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
-    let mut report = match run(&args, changed.as_deref()) {
+    let report = match run(&args) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -228,52 +102,10 @@ fn main() -> ExitCode {
         }
     };
     // A gate that scanned nothing must not report green: a mistyped --root
-    // would otherwise pass CI silently. In --changed-only mode an empty scan
-    // is the expected no-op on a clean tree.
+    // would otherwise pass CI silently.
     if report.files_scanned == 0 {
-        if changed.is_some() {
-            eprintln!("changed-only: no changed .rs files under analysis scope; nothing to do");
-            return ExitCode::SUCCESS;
-        }
         eprintln!("error: no .rs files found to analyze");
         return ExitCode::from(2);
-    }
-    report.apply_severity_overrides(&args.severity_overrides);
-    if let Some(path) = &args.write_baseline {
-        let text = Baseline::render(&report);
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wrote baseline covering {} finding(s) to {}",
-            report.diagnostics.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let mut stale_baseline = Vec::new();
-    if let Some(path) = &args.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let mut baseline = match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(msg) => {
-                eprintln!("error: {}: {msg}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        // Entries for files outside the changed set were not scanned this
-        // run; keeping them would misread as stale.
-        if let Some(files) = &changed {
-            baseline.retain_files(files);
-        }
-        stale_baseline = baseline.apply(&mut report);
     }
     if let Some(json_path) = &args.json {
         if let Err(e) = std::fs::write(json_path, report.json()) {
@@ -282,12 +114,9 @@ fn main() -> ExitCode {
         }
     }
     print!("{}", report.human());
-    for msg in &stale_baseline {
-        eprintln!("error: {msg}");
-    }
-    if report.deny_count() > 0 || !stale_baseline.is_empty() {
-        ExitCode::from(1)
-    } else {
+    if report.is_clean() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

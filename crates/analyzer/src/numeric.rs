@@ -163,8 +163,8 @@ fn unit_from_name(name: &str, method_pos: bool) -> Unit {
 
 /// Workspace-wide numeric environment: annotated units for fields, function
 /// returns, and `let` bindings, plus the NaN-effect tables used by RN406.
-/// Built once over all sources (like the call graph) so `--changed-only`
-/// sees identical cross-file evidence.
+/// Built once over all sources (like the call graph), so a finding in one
+/// file can rest on annotations in another.
 #[derive(Debug, Default)]
 pub struct UnitEnv {
     /// Field name -> annotated dim (`None` = conflicting annotations).

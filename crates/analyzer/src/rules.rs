@@ -29,36 +29,13 @@
 use crate::lexer::{Comment, Lexed, Token, TokenKind};
 use crate::parse::{self, Parsed};
 
-/// Severity of a finding. `Deny` findings fail the gate; `Warn` findings are
-/// reported but do not affect the exit code. Defaults come from [`RULES`] and
-/// can be overridden per rule with `--deny` / `--warn`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the gate.
-    Deny,
-    /// Reported only.
-    Warn,
-}
-
-impl Severity {
-    /// Lowercase name used in reports and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
 /// Static registry entry for one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Rule name, as used in `lint: allow(..)` and CLI flags.
+    /// Rule name, as used in `lint: allow(..)` and reports.
     pub name: &'static str,
     /// Stable ID carried in the JSON report (`RN0xx` core, `RN1xx` semantic).
     pub id: &'static str,
-    /// Severity when no CLI override is given.
-    pub default_severity: Severity,
 }
 
 /// The rule registry. IDs are append-only: a retired rule's ID is never
@@ -67,82 +44,66 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "nan",
         id: "RN003",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "invariant",
         id: "RN005",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "lint-syntax",
         id: "RN006",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "lint-stale",
         id: "RN007",
-        default_severity: Severity::Warn,
     },
     RuleInfo {
         name: "hot-loop-alloc",
         id: "RN103",
-        default_severity: Severity::Warn,
     },
     RuleInfo {
         name: "parallel-shared-mut",
         id: "RN201",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "parallel-float-reduce",
         id: "RN202",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "parallel-rng",
         id: "RN203",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "hot-loop-lock",
         id: "RN204",
-        default_severity: Severity::Warn,
     },
     RuleInfo {
         name: "relaxed-publish",
         id: "RN205",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "unit-mismatch",
         id: "RN401",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "unit-dimension",
         id: "RN402",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "unit-sink",
         id: "RN403",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "nan-div",
         id: "RN404",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "nan-domain",
         id: "RN405",
-        default_severity: Severity::Deny,
     },
     RuleInfo {
         name: "nan-sink",
         id: "RN406",
-        default_severity: Severity::Deny,
     },
 ];
 
@@ -250,19 +211,16 @@ pub struct Diagnostic {
     pub line: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// Effective severity (default from [`RULES`], may be overridden).
-    pub severity: Severity,
 }
 
 impl Diagnostic {
-    /// Construct with the rule's default severity.
+    /// Construct a finding for `rule` at `file:line`.
     pub fn new(rule: &'static str, file: &str, line: u32, message: String) -> Self {
         Diagnostic {
             rule,
             file: file.to_string(),
             line,
             message,
-            severity: rule_info(rule).map_or(Severity::Deny, |r| r.default_severity),
         }
     }
 
@@ -1129,7 +1087,6 @@ mod tests {
                    fn f() -> u32 { 1 }";
         let rep = run(src);
         assert_eq!(rules_of(&rep), vec!["lint-stale"]);
-        assert_eq!(rep.diagnostics[0].severity, Severity::Warn);
         assert!(rep.diagnostics[0].message.contains("suppressed nothing"));
     }
 

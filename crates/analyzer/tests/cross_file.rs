@@ -1,13 +1,12 @@
-//! Cross-file contract behind `--changed-only`: the call graph and unit
-//! environment are built over the whole workspace, and the changed set is
-//! expanded with transitive caller files. Interprocedural RN2xx/RN4xx
-//! findings report at the *call site*, so editing only a callee's body must
-//! re-surface findings in caller files the diff never touched.
+//! Cross-file contract of the workspace scan: the call graph and unit
+//! environment are built over the whole workspace, and interprocedural
+//! RN2xx/RN4xx findings report at the *call site*. Editing only a callee's
+//! body must therefore surface findings in a caller file that never changed.
 //!
 //! The tests build a tiny synthetic workspace in a temp dir. The caller file
 //! is byte-identical in both scenarios; only the callee body differs.
 
-use routenet_analyzer::{analyze_workspace_filtered, expand_changed_files};
+use routenet_analyzer::analyze_workspace;
 use std::fs;
 use std::path::PathBuf;
 
@@ -74,10 +73,8 @@ const CALLER_REL: &str = "crates/simnet/src/stats.rs";
 const CALLEE_REL: &str = "crates/simnet/src/helpers.rs";
 
 fn build_workspace(tag: &str, callee: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!(
-        "analyzer-changed-only-{tag}-{}",
-        std::process::id()
-    ));
+    let root =
+        std::env::temp_dir().join(format!("analyzer-cross-file-{tag}-{}", std::process::id()));
     let src = root.join("crates/simnet/src");
     fs::create_dir_all(&src).expect("temp workspace dirs");
     fs::write(root.join(CALLER_REL), CALLER).expect("write caller");
@@ -97,16 +94,7 @@ fn rules_in(report: &routenet_analyzer::Report, file: &str) -> Vec<(String, u32)
 #[test]
 fn callee_edit_resurfaces_findings_in_unchanged_caller() {
     let root = build_workspace("buggy", CALLEE_BUGGY);
-
-    // The diff only lists the callee; the expansion must pull in the caller.
-    let changed = vec![CALLEE_REL.to_string()];
-    let expanded = expand_changed_files(&root, &changed).expect("expand");
-    assert!(
-        expanded.iter().any(|f| f == CALLER_REL),
-        "caller not pulled in: {expanded:?}"
-    );
-
-    let report = analyze_workspace_filtered(&root, Some(&expanded)).expect("scan");
+    let report = analyze_workspace(&root).expect("scan");
     let caller = rules_in(&report, CALLER_REL);
     assert!(
         caller.iter().any(|(r, _)| r == "nan-sink"),
@@ -121,31 +109,9 @@ fn callee_edit_resurfaces_findings_in_unchanged_caller() {
 }
 
 #[test]
-fn filter_scopes_reporting_not_evidence() {
-    let root = build_workspace("filtered", CALLEE_BUGGY);
-
-    // Scanning only the caller must see identical callee-side evidence:
-    // the filter scopes *reporting*, never the call graph or unit env.
-    let full = analyze_workspace_filtered(&root, None).expect("full scan");
-    let only = vec![CALLER_REL.to_string()];
-    let filtered = analyze_workspace_filtered(&root, Some(&only)).expect("filtered scan");
-    assert_eq!(
-        rules_in(&full, CALLER_REL),
-        rules_in(&filtered, CALLER_REL),
-        "filtered run saw different caller evidence than the full run"
-    );
-    assert!(
-        !rules_in(&filtered, CALLER_REL).is_empty(),
-        "expected caller findings driven by the buggy callee"
-    );
-
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
 fn clean_callee_keeps_caller_silent() {
     let root = build_workspace("clean", CALLEE_CLEAN);
-    let report = analyze_workspace_filtered(&root, None).expect("scan");
+    let report = analyze_workspace(&root).expect("scan");
     assert!(
         report.diagnostics.is_empty(),
         "unexpected findings: {:?}",

@@ -103,7 +103,19 @@ fn allow_suppression_and_lint_syntax() {
     ] {
         assert!(stdout.contains(line), "missing `{line}` in:\n{stdout}");
     }
-    assert!(stdout.contains("0 warn"), "stale allow reported:\n{stdout}");
+    assert_eq!(
+        count_rule(&stdout, "lint-stale"),
+        0,
+        "in-force allow reported stale:\n{stdout}"
+    );
+
+    // An allow that suppresses nothing fails the gate like any finding.
+    let (out, stdout) = run_on_fixtures(&["stale_allow.rs"]);
+    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
+    assert!(
+        stdout.contains("stale_allow.rs:3: [lint-stale] RN007"),
+        "stdout:\n{stdout}"
+    );
 }
 
 #[test]
@@ -116,8 +128,8 @@ fn clean_fixture_exits_zero() {
 #[test]
 fn hot_loop_fixture_exact_diagnostics() {
     let (out, stdout) = run_on_fixtures(&["hot_loop.rs"]);
-    // hot-loop-alloc defaults to warn severity: reported but exit 0.
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+    // Every rule fails the gate, hot-loop-alloc included.
+    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
     assert_eq!(
         count_rule(&stdout, "hot-loop-alloc"),
         4,
@@ -132,7 +144,7 @@ fn hot_loop_fixture_exact_diagnostics() {
         assert!(stdout.contains(line), "missing `{line}` in:\n{stdout}");
     }
     assert!(stdout.contains("RN103"), "stdout:\n{stdout}");
-    assert!(stdout.contains("4 warn"), "stdout:\n{stdout}");
+    assert!(stdout.contains("4 diagnostic(s)"), "stdout:\n{stdout}");
 }
 
 #[test]
@@ -150,7 +162,6 @@ fn hot_loop_clean_fixture_passes() {
 #[test]
 fn concurrency_fixture_exact_diagnostics() {
     let (out, stdout) = run_on_fixtures(&["concurrency.rs"]);
-    // RN201/202/203/205 are deny by default, so the run fails.
     assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
     assert_eq!(
         count_rule(&stdout, "parallel-shared-mut"),
@@ -190,7 +201,7 @@ fn concurrency_fixture_exact_diagnostics() {
     for id in ["RN201", "RN202", "RN203", "RN204", "RN205"] {
         assert!(stdout.contains(id), "missing {id} in:\n{stdout}");
     }
-    assert!(stdout.contains("5 deny, 2 warn"), "stdout:\n{stdout}");
+    assert!(stdout.contains("7 diagnostic(s)"), "stdout:\n{stdout}");
 }
 
 #[test]
@@ -241,21 +252,6 @@ fn numeric_clean_fixture_passes() {
 }
 
 #[test]
-fn deny_flag_escalates_warn_rules() {
-    let path = fixture("hot_loop.rs");
-    let out = run(&["--deny", "hot-loop-alloc", &path.to_string_lossy()]);
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
-    assert!(stdout.contains("4 deny"), "stdout:\n{stdout}");
-    let bad = run(&[
-        "--deny",
-        "no-such-rule",
-        &fixture("clean.rs").to_string_lossy(),
-    ]);
-    assert_eq!(bad.status.code(), Some(2));
-}
-
-#[test]
 fn all_fixtures_total_count() {
     let (out, stdout) = run_on_fixtures(&["floats.rs", "invariants.rs", "allowed.rs", "clean.rs"]);
     assert_eq!(out.status.code(), Some(1));
@@ -271,20 +267,8 @@ fn workspace_tree_is_clean() {
         .and_then(std::path::Path::parent)
         .expect("workspace root exists")
         .to_path_buf();
-    // The CI invocation: everything denied that check.sh denies, with the
-    // committed baseline subtracting the known (reviewed) findings.
-    let baseline = root.join("analyzer-baseline.txt");
-    let out = run(&[
-        "--workspace",
-        "--root",
-        &root.to_string_lossy(),
-        "--deny",
-        "hot-loop-alloc",
-        "--deny",
-        "hot-loop-lock",
-        "--baseline",
-        &baseline.to_string_lossy(),
-    ]);
+    // The CI invocation: any finding fails it.
+    let out = run(&["--workspace", "--root", &root.to_string_lossy()]);
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
     let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
     assert_eq!(
@@ -293,21 +277,6 @@ fn workspace_tree_is_clean() {
         "workspace not clean:\n{stdout}{stderr}"
     );
     assert!(stdout.contains("0 diagnostic(s)"), "stdout:\n{stdout}");
-}
-
-#[test]
-fn workspace_has_no_deny_findings_even_without_baseline() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(std::path::Path::parent)
-        .expect("workspace root exists")
-        .to_path_buf();
-    let out = run(&["--workspace", "--root", &root.to_string_lossy()]);
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    // Baselined findings are warn-level, so even the bare run must exit 0
-    // with zero deny findings.
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
-    assert!(stdout.contains("0 deny"), "stdout:\n{stdout}");
 }
 
 #[test]
@@ -327,12 +296,11 @@ fn json_report_is_emitted() {
         json.contains("\"schema\": \"analyzer-report\""),
         "json:\n{json}"
     );
-    assert!(json.contains("\"version\": 4"), "json:\n{json}");
-    assert!(json.contains("\"by_severity\""), "json:\n{json}");
+    assert!(json.contains("\"version\": 5"), "json:\n{json}");
     assert!(json.contains("\"by_rule\""), "json:\n{json}");
     assert!(json.contains("\"rule\": \"nan\""), "json:\n{json}");
     assert!(json.contains("\"id\": \"RN003\""), "json:\n{json}");
-    assert!(json.contains("\"severity\": \"deny\""), "json:\n{json}");
+    assert!(!json.contains("severity"), "json:\n{json}");
     assert!(json.contains("\"summary\""), "json:\n{json}");
     assert!(json.contains("\"line\": 4"), "json:\n{json}");
     // Cheap well-formedness: balanced braces and brackets.
@@ -346,4 +314,6 @@ fn usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(2));
     let both = run(&["--workspace", "some/file.rs"]);
     assert_eq!(both.status.code(), Some(2));
+    let unknown = run(&["--workspace", "--frobnicate"]);
+    assert_eq!(unknown.status.code(), Some(2));
 }

@@ -1,4 +1,4 @@
-//! Golden-file tests for the `analyzer-report v4` JSON schema: one per
+//! Golden-file tests for the `analyzer-report v5` JSON schema: one per
 //! semantic rule family. The binary is run from the crate root with relative
 //! fixture paths so the `file` fields in the report are machine-independent,
 //! and the emitted JSON must match the committed golden byte-for-byte.

@@ -2,8 +2,7 @@
 //! safety contract"): the analyzer's JSON output must be byte-identical
 //! across repeated runs and across any permutation of the input file order.
 //! The call graph and diagnostics are kept in sorted containers precisely so
-//! this holds; a regression here would make the golden tests and the baseline
-//! ratchet flaky.
+//! this holds; a regression here would make the golden tests flaky.
 
 use routenet_analyzer::{analyze_paths, analyze_workspace};
 use std::path::PathBuf;
