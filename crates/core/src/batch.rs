@@ -4,8 +4,8 @@
 //! tensors row-block-wise and rebases every position's gather/scatter
 //! indices into the concatenated row space — a CSR layout where
 //! [`SegmentPlan`]s are the row pointers. [`crate::model::RouteNet::forward_batch`]
-//! then replays the *same* op sequence as the reference per-sample forward
-//! over the concatenated rows, using segment-aware ops for every cross-row
+//! then computes the reference per-sample forward's values over the
+//! concatenated rows, using segment-aware ops for every cross-row
 //! reduction that touches a parameter, so per-sample losses and gradients
 //! recovered from a batched tape are bitwise identical to running each
 //! sample as a batch of one (see DESIGN.md "Batched execution & memory
@@ -13,7 +13,6 @@
 
 use crate::model::CompiledScenario;
 use routenet_nn::{IndexPlan, SegmentPlan, Tensor};
-use std::sync::Arc;
 
 /// Rebased gather/scatter index for one hop position of a batch.
 #[derive(Debug, Clone)]
@@ -42,11 +41,10 @@ pub struct BatchedScenario {
     path_x: Tensor,
     path_seg: SegmentPlan,
     link_seg: SegmentPlan,
+    /// Per hop position. A path row absent from a position's `path_idx`
+    /// (including every row of a sample whose longest path ends earlier)
+    /// keeps its state through that position's update.
     positions: Vec<BatchPosition>,
-    /// `keep_masks[k]`: 0 where a path is active at position `k` (its row is
-    /// replaced by the GRU output), 1 elsewhere — including every row of a
-    /// sample whose longest path ends before `k`.
-    keep_masks: Vec<Arc<Tensor>>,
 }
 
 impl BatchedScenario {
@@ -86,7 +84,6 @@ impl BatchedScenario {
         let link_x = Tensor::from_vec(n_links, link_dim, link_data);
 
         let mut positions = Vec::with_capacity(max_len);
-        let mut keep_masks = Vec::with_capacity(max_len);
         let mut seg_lens = Vec::with_capacity(n_samples);
         for k in 0..max_len {
             // Not per-iteration scratch: both index vecs are moved into the
@@ -94,7 +91,6 @@ impl BatchedScenario {
             let mut path_idx = Vec::new(); // lint: allow(hot-loop-alloc, reason = "moved into the retained IndexPlan")
             let mut link_idx = Vec::new(); // lint: allow(hot-loop-alloc, reason = "moved into the retained IndexPlan")
             seg_lens.clear();
-            let mut mask = Tensor::full(n_paths, path_dim, 1.0);
             for (s, sc) in scenarios.iter().enumerate() {
                 let (path_off, _) = path_seg.range(s);
                 let (link_off, _) = link_seg.range(s);
@@ -108,22 +104,12 @@ impl BatchedScenario {
                     path_idx.push(path_off + p);
                     link_idx.push(link_off + l);
                 }
-                // Splice the sample's own 0/1 keep mask over its row block;
-                // rows of fully-inactive samples stay at the 1.0 fill, so
-                // their states pass through the position update unchanged.
-                let m = &sc.keep_masks[k];
-                for r in 0..sc.tensors.n_paths {
-                    for c in 0..path_dim {
-                        mask.set(path_off + r, c, m.get(r, c));
-                    }
-                }
             }
             positions.push(BatchPosition {
                 path_idx: IndexPlan::new(path_idx),
                 link_idx: IndexPlan::new(link_idx),
                 seg: SegmentPlan::from_lens(&seg_lens),
             });
-            keep_masks.push(Arc::new(mask));
         }
 
         BatchedScenario {
@@ -136,7 +122,6 @@ impl BatchedScenario {
             path_seg,
             link_seg,
             positions,
-            keep_masks,
         }
     }
 
@@ -164,10 +149,6 @@ impl BatchedScenario {
 
     pub(crate) fn position(&self, k: usize) -> &BatchPosition {
         &self.positions[k]
-    }
-
-    pub(crate) fn keep_mask(&self, k: usize) -> &Arc<Tensor> {
-        &self.keep_masks[k]
     }
 
     pub(crate) fn link_x(&self) -> &Tensor {
@@ -273,16 +254,12 @@ mod tests {
                     assert!(p >= plo && p < phi, "path row escaped its block");
                     assert!(l >= llo && l < lhi, "link row escaped its block");
                 }
-                // Past a sample's own max_len the segment must be empty and
-                // its mask rows all 1.0 (state passes through unchanged).
+                // Past a sample's own max_len the segment must be empty, so
+                // no row of the sample is replaced (its state passes through
+                // unchanged).
                 if k >= sample.tensors.max_len {
                     assert_eq!(hi, lo, "inactive sample has gathered rows");
-                    let mask = b.keep_mask(k);
-                    for r in plo..phi {
-                        for c in 0..mask.cols() {
-                            assert_eq!(mask.get(r, c), 1.0);
-                        }
-                    }
+                    assert!(pos.path_idx.indices().iter().all(|&p| p < plo || p >= phi));
                 }
             }
         }

@@ -70,16 +70,13 @@ impl Default for RouteNetConfig {
 }
 
 /// A scenario pre-compiled for the forward pass: message-passing index plus
-/// initial feature tensors and per-position keep masks.
+/// initial feature tensors.
 #[derive(Debug, Clone)]
 pub struct CompiledScenario {
     /// Gather/scatter index.
     pub tensors: PathTensors,
     pub(crate) link_x: Tensor,
     pub(crate) path_x: Tensor,
-    /// `keep_masks[k]`: `n_paths x path_dim` 0/1 tensor, 0 where the path is
-    /// active at position k (its row is replaced by the GRU output).
-    pub(crate) keep_masks: Vec<Tensor>,
 }
 
 /// The RouteNet GNN with its parameters and fitted normalizer.
@@ -239,8 +236,8 @@ impl RouteNet {
             .then(|| 1 + self.config.predict_jitter as usize)
     }
 
-    /// Pre-compile a scenario: build the message-passing index, initial
-    /// feature tensors, and position masks. Reused across epochs.
+    /// Pre-compile a scenario: build the message-passing index and initial
+    /// feature tensors. Reused across epochs.
     pub fn compile(&self, scenario: &Scenario) -> CompiledScenario {
         self.compile_with_index(scenario, PathTensors::build(scenario))
     }
@@ -272,27 +269,10 @@ impl RouteNet {
                 0.0
             }
         });
-        let keep_masks = (0..tensors.max_len)
-            .map(|k| {
-                let active = tensors.active_mask(k);
-                Tensor::from_fn(tensors.n_paths, self.config.path_state_dim, |r, _| {
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "active_mask returns one flag per path row, r < n_paths"
-                    )]
-                    if active[r] {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                })
-            })
-            .collect();
         CompiledScenario {
             tensors,
             link_x,
             path_x,
-            keep_masks,
         }
     }
 
@@ -323,12 +303,21 @@ impl RouteNet {
                 let x = sess.tape.gather_rows(link_state, pos.link_idx.clone());
                 let h = sess.tape.gather_rows(path_state, pos.path_idx.clone());
                 let h_new = self.path_cell.step(sess, x, h);
-                // Replace the active rows of the path state.
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "keep_masks is built with max_len entries in compile, k < max_len"
-                )]
-                let kept = sess.tape.mul_const(path_state, &compiled.keep_masks[k]);
+                // Replace the active rows of the path state: keep the
+                // others through a 0/1 mask, then add the scattered rows.
+                let active = idx.active_mask(k);
+                let keep = Tensor::from_fn(idx.n_paths, self.config.path_state_dim, |r, _| {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "active_mask returns one flag per path row, r < n_paths"
+                    )]
+                    if active[r] {
+                        0.0
+                    } else {
+                        1.0
+                    }
+                });
+                let kept = sess.tape.mul_const(path_state, &keep);
                 let scattered =
                     sess.tape
                         .scatter_add_rows(h_new, pos.path_idx.clone(), idx.n_paths);
@@ -355,13 +344,16 @@ impl RouteNet {
     /// sample row blocks in pack order.
     ///
     /// This is the one execution path of the model: a single sample is a
-    /// batch of one. It replays exactly the op sequence of the reference
-    /// [`RouteNet::forward`] over the concatenated rows; every op whose
-    /// reduction crosses sample boundaries while touching a parameter uses
-    /// its segment-aware variant, which iterates segments in sample order.
-    /// Per-sample output rows and the per-segment parameter gradients
-    /// recovered via [`Session::param_grads_seg`] are therefore bitwise
-    /// identical whatever else is packed into the batch.
+    /// batch of one. It computes the reference [`RouteNet::forward`]'s
+    /// values over the concatenated rows, with two fused ops in place of
+    /// op chains: [`Tape::gru_seg`] for each GRU step and
+    /// [`Tape::replace_rows_plan`] for each path-state update. Each fused
+    /// op repeats its chain's arithmetic and gradient accumulation order,
+    /// and every op whose reduction crosses sample boundaries while
+    /// touching a parameter iterates segments in sample order. Per-sample
+    /// output rows and the per-segment parameter gradients recovered via
+    /// [`Session::param_grads_seg`] are therefore bitwise identical to the
+    /// reference, whatever else is packed into the batch.
     pub fn forward_batch(&self, sess: &mut Session, batch: &BatchedScenario) -> Var {
         let mut link_state = sess.input_copied(batch.link_x());
         let mut path_state = sess.input_copied(batch.path_x());
@@ -373,11 +365,9 @@ impl RouteNet {
                 let x = sess.tape.gather_rows_plan(link_state, &pos.link_idx);
                 let h = sess.tape.gather_rows_plan(path_state, &pos.path_idx);
                 let h_new = self.path_cell.step_seg(sess, x, h, &pos.seg);
-                let kept = sess.tape.mul_const_shared(path_state, batch.keep_mask(k));
-                let scattered =
-                    sess.tape
-                        .scatter_add_rows_plan(h_new, &pos.path_idx, batch.n_paths);
-                path_state = sess.tape.add(kept, scattered);
+                path_state = sess
+                    .tape
+                    .replace_rows_plan(path_state, h_new, &pos.path_idx);
                 let msg = sess
                     .tape
                     .scatter_add_rows_plan(h_new, &pos.link_idx, batch.n_links);
@@ -751,6 +741,30 @@ mod tests {
         for (a, b) in preds[1].iter().zip(&alone) {
             assert_eq!(a.delay_s.to_bits(), b.delay_s.to_bits());
         }
+    }
+
+    /// The batched forward's tape budget: the fused GRU step and the
+    /// in-place row replace record at most 40% of the scalars the reference
+    /// forward records, and backward keeps no interior node's gradient.
+    #[test]
+    fn forward_batch_tape_budget_and_leaf_only_gradients() {
+        let model = tiny_model(RouteNetConfig::default());
+        let compiled = model.compile(&scenario());
+        let mut reference = Session::new(model.store());
+        model.forward(&mut reference, &compiled);
+        let mut sess = Session::new(model.store());
+        let out = model.forward_batch(&mut sess, &BatchedScenario::pack(&[&compiled]));
+        let (fused, unfused) = (sess.tape.value_scalars(), reference.tape.value_scalars());
+        assert!(
+            fused * 10 <= unfused * 4,
+            "batched tape holds {fused} scalars, reference {unfused}"
+        );
+        let loss = sess.tape.mse(out, &Tensor::zeros(14 * 13, 2));
+        let grads = sess.tape.backward(loss);
+        assert!(grads.get(out).is_none(), "interior gradient kept");
+        assert!(grads.get(loss).is_none(), "loss gradient kept");
+        let per_sample = sess.param_grads_seg(&grads, 1);
+        assert_eq!(per_sample[0].len(), model.store().len());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::params::{ParamId, ParamStore, Session};
 use crate::plan::SegmentPlan;
-use crate::tape::Var;
+use crate::tape::{GruParams, Var};
 use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -273,53 +273,25 @@ impl GruCell {
         t.add(keep, take)
     }
 
-    /// Segment-aware step: same op sequence (and bitwise the same values)
-    /// as [`GruCell::step`], with all six weight matmuls and three bias adds
-    /// recorded as segment ops so per-sample gradients stay separable in a
-    /// concatenated batch.
+    /// Segment-aware step: bitwise the values of [`GruCell::step`], recorded
+    /// as one fused [`crate::tape::Tape::gru_seg`] node whose backward keeps
+    /// per-sample weight and bias gradients separable in a concatenated
+    /// batch.
     pub fn step_seg(&self, sess: &mut Session, x: Var, h: Var, seg: &SegmentPlan) -> Var {
         debug_assert_eq!(sess.tape.value(x).cols(), self.in_dim, "GRU input width");
         debug_assert_eq!(sess.tape.value(h).cols(), self.hid_dim, "GRU hidden width");
-        let (wz, uz, bz) = (
-            sess.param(self.wz),
-            sess.param(self.uz),
-            sess.param(self.bz),
-        );
-        let (wr, ur, br) = (
-            sess.param(self.wr),
-            sess.param(self.ur),
-            sess.param(self.br),
-        );
-        let (wh, uh, bh) = (
-            sess.param(self.wh),
-            sess.param(self.uh),
-            sess.param(self.bh),
-        );
-
-        let t = &mut sess.tape;
-        let xwz = t.seg_matmul(x, wz, seg);
-        let huz = t.seg_matmul(h, uz, seg);
-        let zs = t.add(xwz, huz);
-        let zs = t.seg_add_row(zs, bz, seg);
-        let z = t.sigmoid(zs);
-
-        let xwr = t.seg_matmul(x, wr, seg);
-        let hur = t.seg_matmul(h, ur, seg);
-        let rs = t.add(xwr, hur);
-        let rs = t.seg_add_row(rs, br, seg);
-        let r = t.sigmoid(rs);
-
-        let rh = t.mul(r, h);
-        let xwh = t.seg_matmul(x, wh, seg);
-        let rhuh = t.seg_matmul(rh, uh, seg);
-        let cs = t.add(xwh, rhuh);
-        let cs = t.seg_add_row(cs, bh, seg);
-        let c = t.tanh(cs);
-
-        let zi = t.one_minus(z);
-        let keep = t.mul(zi, h);
-        let take = t.mul(z, c);
-        t.add(keep, take)
+        let p = GruParams {
+            wz: sess.param(self.wz),
+            uz: sess.param(self.uz),
+            bz: sess.param(self.bz),
+            wr: sess.param(self.wr),
+            ur: sess.param(self.ur),
+            br: sess.param(self.br),
+            wh: sess.param(self.wh),
+            uh: sess.param(self.uh),
+            bh: sess.param(self.bh),
+        };
+        sess.tape.gru_seg(x, h, &p, seg)
     }
 
     /// Input width.
@@ -423,18 +395,23 @@ mod tests {
         }
     }
 
+    fn bits(t: &Tensor) -> Vec<u64> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn seg_variants_match_per_sample_forward_and_grads() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(7);
         let gru = GruCell::new(&mut store, "g", 3, 4, &mut rng);
         let readout = Dense::new(&mut store, "r", 4, 2, Activation::Tanh, &mut rng);
-        let lens = [2usize, 3];
+        // The empty middle segment is a sample already past its last hop.
+        let lens = [2usize, 0, 3];
         let seg = SegmentPlan::from_lens(&lens);
         let x = Tensor::from_fn(5, 3, |r, c| (r as f64 * 0.3 - c as f64 * 0.7).sin());
         let h = Tensor::from_fn(5, 4, |r, c| (r as f64 * 0.11 + c as f64 * 0.05).cos());
 
-        // Batched tape over both samples.
+        // Batched tape over all samples.
         let mut bs = Session::new(&store);
         let bx = bs.input(x.clone());
         let bh = bs.input(h.clone());
@@ -442,11 +419,15 @@ mod tests {
         let by = readout.forward_seg(&mut bs, bh1, &seg);
         let bl = bs.tape.sum_all(by);
         let bg = bs.tape.backward(bl);
-        let per_sample = bs.param_grads_seg(&bg, 2);
+        let per_sample = bs.param_grads_seg(&bg, lens.len());
 
-        // One tape per sample.
+        // One tape per sample through the unfused step.
         let mut lo = 0usize;
         for (s, &n) in lens.iter().enumerate() {
+            if n == 0 {
+                assert!(per_sample[s].is_empty(), "empty segment got gradients");
+                continue;
+            }
             let mut ps = Session::new(&store);
             let px = ps.input(x.rows_copy(lo, lo + n));
             let ph = ps.input(h.rows_copy(lo, lo + n));
@@ -455,10 +436,17 @@ mod tests {
             let pl = ps.tape.sum_all(py);
             let pg = ps.tape.backward(pl);
             assert_eq!(
-                &bs.tape.value(by).rows_copy(lo, lo + n),
-                ps.tape.value(py),
+                bits(&bs.tape.value(by).rows_copy(lo, lo + n)),
+                bits(ps.tape.value(py)),
                 "sample {s} forward mismatch"
             );
+            for (name, bv, pv) in [("dx", bx, px), ("dh", bh, ph)] {
+                assert_eq!(
+                    bits(&bg.get(bv).unwrap().rows_copy(lo, lo + n)),
+                    bits(pg.get(pv).unwrap()),
+                    "sample {s} {name} mismatch"
+                );
+            }
             // The per-sample tape uses plain ops throughout — its
             // param_grads are the reference the batched per-segment slots
             // must reproduce bitwise.
@@ -466,9 +454,88 @@ mod tests {
             assert_eq!(per_sample[s].len(), expect.len(), "sample {s} param count");
             for ((ia, ga), (ib, gb)) in per_sample[s].iter().zip(&expect) {
                 assert_eq!(ia, ib);
-                assert_eq!(ga, gb, "sample {s} grad mismatch for {}", store.name(*ia));
+                assert_eq!(
+                    bits(ga),
+                    bits(gb),
+                    "sample {s} grad mismatch for {}",
+                    store.name(*ia)
+                );
             }
             lo += n;
+        }
+    }
+
+    /// The fused step against the unfused one over a whole batch, with `h`
+    /// also read by a later op: `h`'s gradient already holds that op's
+    /// partial when the step's partials arrive, so the accumulation order
+    /// shows in the bits.
+    #[test]
+    fn fused_step_matches_unfused_dx_dh_with_prior_h_gradient() {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(8);
+        let gru = GruCell::new(&mut store, "g", 3, 4, &mut rng);
+        let seg = SegmentPlan::from_lens(&[3, 0, 4]);
+        let x = Tensor::from_fn(7, 3, |r, c| {
+            if (r + c) % 4 == 0 {
+                0.0
+            } else {
+                (r as f64 * 0.9 + c as f64).sin()
+            }
+        });
+        let h = Tensor::from_fn(7, 4, |r, c| (r as f64 * 0.37 - c as f64 * 0.21).cos());
+        let w = Tensor::from_fn(7, 4, |r, c| 0.5 - ((r * 4 + c) % 5) as f64 * 0.3);
+        let run = |fused: bool| {
+            let mut sess = Session::new(&store);
+            let vx = sess.input(x.clone());
+            let vh = sess.input(h.clone());
+            let h1 = if fused {
+                gru.step_seg(&mut sess, vx, vh, &seg)
+            } else {
+                gru.step(&mut sess, vx, vh)
+            };
+            let later = sess.tape.mul(h1, vh);
+            let weighted = sess.tape.mul_const(later, &w);
+            let l = sess.tape.sum_all(weighted);
+            let g = sess.tape.backward(l);
+            [
+                bits(sess.tape.value(h1)),
+                bits(g.get(vx).unwrap()),
+                bits(g.get(vh).unwrap()),
+            ]
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// A pre-activation the unfused step would record as `+inf` poisons the
+    /// tape even though the saturated gate keeps the fused output finite.
+    /// (A `+inf` parameter would poison the tape on its own as a leaf, so
+    /// the infinity here comes from a finite bias overflowing.)
+    #[test]
+    fn fused_step_poisons_on_a_saturated_infinite_gate() {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(9);
+        let gru = GruCell::new(&mut store, "g", 3, 4, &mut rng);
+        let wz = store.by_name("g.wz").unwrap();
+        *store.get_mut(wz) = Tensor::full(3, 4, 1e300);
+        let bz = store.by_name("g.bz").unwrap();
+        *store.get_mut(bz) = Tensor::full(1, 4, f64::MAX);
+        let x = Tensor::full(2, 3, 1.0);
+        let h = Tensor::from_fn(2, 4, |r, c| 0.1 * (r + c) as f64);
+        for fused in [true, false] {
+            let mut sess = Session::new(&store);
+            let vx = sess.input(x.clone());
+            let vh = sess.input(h.clone());
+            for id in store.ids() {
+                sess.param(id);
+            }
+            assert!(!sess.tape.poisoned(), "finite leaves poisoned the tape");
+            let h1 = if fused {
+                gru.step_seg(&mut sess, vx, vh, &SegmentPlan::singleton(2))
+            } else {
+                gru.step(&mut sess, vx, vh)
+            };
+            assert!(sess.tape.value(h1).all_finite(), "gate did not saturate");
+            assert!(sess.tape.poisoned(), "fused={fused}: +inf gate not flagged");
         }
     }
 

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::optim::{clip_global_norm, Adam, Sgd};
     pub use crate::params::{GradAccumulator, ParamId, ParamStore, Session};
     pub use crate::plan::{IndexPlan, SegmentPlan};
-    pub use crate::tape::{Gradients, Tape, Var};
+    pub use crate::tape::{Gradients, GruParams, Tape, Var};
     pub use crate::tensor::Tensor;
 }
 
@@ -61,5 +61,5 @@ pub use layers::{Activation, Dense, GruCell, Mlp};
 pub use optim::{Adam, Sgd};
 pub use params::{GradAccumulator, ParamId, ParamStore, Session};
 pub use plan::{IndexPlan, SegmentPlan};
-pub use tape::{Gradients, Tape, Var};
+pub use tape::{Gradients, GruParams, Tape, Var};
 pub use tensor::Tensor;

@@ -142,7 +142,8 @@ impl<'a> Session<'a> {
     /// Start a session over `store` reusing an arena-backed tape from a
     /// previous pass. The tape is reset (recycling its value buffers) before
     /// recording begins; pair with [`Session::into_tape`] to thread one tape
-    /// through a training or eval loop with zero steady-state allocation.
+    /// through a training or eval loop with no steady-state value-buffer
+    /// allocation in the forward pass.
     pub fn with_tape(store: &'a ParamStore, mut tape: Tape) -> Self {
         tape.reset();
         Session {

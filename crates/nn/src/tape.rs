@@ -1,11 +1,13 @@
 //! Reverse-mode automatic differentiation on a linear tape.
 //!
 //! A [`Tape`] records every operation eagerly (define-by-run); calling
-//! [`Tape::backward`] walks the tape in reverse accumulating gradients.
-//! The op set is exactly what RouteNet's message passing needs, including
-//! the two structural ops that encode the graph: [`Tape::gather_rows`]
-//! (read link states along each path) and [`Tape::scatter_add_rows`]
-//! (aggregate per-hop messages into per-link inboxes).
+//! [`Tape::backward`] walks the tape in reverse accumulating gradients and
+//! keeps only the leaves'. The op set is exactly what RouteNet's message
+//! passing needs, including the structural ops that encode the graph:
+//! [`Tape::gather_rows`] (read link states along each path),
+//! [`Tape::scatter_add_rows`] (aggregate per-hop messages into per-link
+//! inboxes) and [`Tape::replace_rows_plan`] (update the active paths'
+//! states), plus one fused op, [`Tape::gru_seg`], for a whole GRU step.
 //!
 //! Every op's gradient is validated against central finite differences in
 //! this crate's test suite.
@@ -13,12 +15,13 @@
 //! # Arena reuse
 //!
 //! A tape can be recycled across forward/backward passes with
-//! [`Tape::reset`]: node value buffers are drained into an internal pool and
-//! handed back out by the next pass's ops in allocation order. Because a
-//! training loop replays the same op sequence every iteration, the pool
-//! reaches a steady state after the first pass and the hot loop performs no
-//! further value-buffer heap allocation. See DESIGN.md "Batched execution &
-//! memory arenas".
+//! [`Tape::reset`]: node value buffers (and the activations fused ops save)
+//! are drained into an internal pool and handed back out by the next pass's
+//! ops in allocation order. Because a training loop replays the same op
+//! sequence every iteration, the pool reaches a steady state after the
+//! first pass and the forward pass performs no further value-buffer heap
+//! allocation. Backward partials are not pooled: they are allocated on
+//! every pass. See DESIGN.md "Batched execution & memory arenas".
 //!
 //! # Segment ops
 //!
@@ -84,6 +87,18 @@ enum Op {
     SegmentMean(Var, SegmentPlan),
     /// Per-segment mean squared error: `out[s, 0] = mse over segment s`.
     SegMse(Var, Tensor, SegmentPlan),
+    /// Fused segment-aware GRU step (see [`Tape::gru_seg`]): inputs `x` and
+    /// `h`, the cell's parameters, and the gate activations backward needs.
+    GruSeg {
+        x: Var,
+        h: Var,
+        p: GruParams,
+        seg: SegmentPlan,
+        saved: GruSaved,
+    },
+    /// `state` with the rows named by the plan replaced by `rows` (see
+    /// [`Tape::replace_rows_plan`]).
+    ReplaceRowsP(Var, Var, IndexPlan),
     SumAll(Var),
     MeanAll(Var),
     /// Mean squared error against a constant target.
@@ -92,9 +107,152 @@ enum Op {
     Mae(Var, Tensor),
 }
 
+/// Tape handles of a GRU cell's nine parameters (see
+/// [`crate::layers::GruCell`] for the equations).
+#[derive(Debug, Clone, Copy)]
+pub struct GruParams {
+    /// Update-gate input weight.
+    pub wz: Var,
+    /// Update-gate recurrent weight.
+    pub uz: Var,
+    /// Update-gate bias.
+    pub bz: Var,
+    /// Reset-gate input weight.
+    pub wr: Var,
+    /// Reset-gate recurrent weight.
+    pub ur: Var,
+    /// Reset-gate bias.
+    pub br: Var,
+    /// Candidate input weight.
+    pub wh: Var,
+    /// Candidate recurrent weight.
+    pub uh: Var,
+    /// Candidate bias.
+    pub bh: Var,
+}
+
+/// What a fused GRU step keeps for its backward pass, all `rows x hid`:
+/// the update gate, the reset gate, the candidate, and `r ⊙ h`.
+#[derive(Debug)]
+struct GruSaved {
+    z: Tensor,
+    r: Tensor,
+    c: Tensor,
+    rh: Tensor,
+}
+
+impl Op {
+    /// Scalars the op keeps besides its node value.
+    fn saved_scalars(&self) -> usize {
+        match self {
+            Op::GruSeg { saved, .. } => 4 * saved.z.len(),
+            _ => 0,
+        }
+    }
+}
+
 struct Node {
     op: Op,
     value: Tensor,
+}
+
+/// `(alpha, beta)` of [`Tape::one_minus`]'s affine map, shared by the fused
+/// GRU step so its `1 - z` is the unfused step's expression.
+const ONE_MINUS: (f64, f64) = (-1.0, 1.0);
+
+/// `out += a * w` for one row `a`: `matmul_into`'s k-then-j loop with its
+/// exact-zero skip, so every element's sum is bitwise the full product's.
+fn row_times(a: &[f64], w: &Tensor, out: &mut [f64]) {
+    for (&ak, w_row) in a.iter().zip(w.data().chunks_exact(w.cols())) {
+        if ak == 0.0 {
+            continue;
+        }
+        for (o, &b) in out.iter_mut().zip(w_row) {
+            *o += ak * b;
+        }
+    }
+}
+
+/// Column sums of `g`'s rows `lo..hi`, ascending from `+0.0`: the bias
+/// gradient of one segment.
+fn col_sums(g: &Tensor, lo: usize, hi: usize) -> Tensor {
+    let mut gb = Tensor::zeros(1, g.cols());
+    for r in lo..hi {
+        for c in 0..g.cols() {
+            gb.set(0, c, gb.get(0, c) + g.get(r, c));
+        }
+    }
+    gb
+}
+
+/// Forward pass of [`Tape::gru_seg`], one row at a time: writes the output
+/// and the saved gates, and returns whether every value the unfused step
+/// records was finite. `scratch` holds `6 * hid` per-row temporaries.
+///
+/// INVARIANT: shapes were checked by `gru_seg`; every row slice below has
+/// `hid` (or `in`) elements, so all indices `j < hid` are in bounds.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "j < hid and every row slice has hid elements, see INVARIANT above"
+)]
+fn gru_forward(
+    [xv, hv]: [&Tensor; 2],
+    [wz, uz, bz, wr, ur, br, wh, uh, bh]: [&Tensor; 9],
+    out: &mut Tensor,
+    saved: &mut GruSaved,
+    scratch: &mut [f64],
+) -> bool {
+    let hid = out.cols();
+    debug_assert!(scratch.len() == 6 * hid && hv.cols() == hid && bz.cols() == hid);
+    let (alpha, beta) = ONE_MINUS;
+    let (bz, br, bh) = (bz.row(0), br.row(0), bh.row(0));
+    let mut finite = true;
+    for i in 0..out.rows() {
+        let (xrow, hrow) = (xv.row(i), hv.row(i));
+        for v in scratch.iter_mut() {
+            *v = 0.0;
+        }
+        let (xz, rest) = scratch.split_at_mut(hid);
+        let (hz, rest) = rest.split_at_mut(hid);
+        let (xr, rest) = rest.split_at_mut(hid);
+        let (hr, rest) = rest.split_at_mut(hid);
+        let (xh, rhu) = rest.split_at_mut(hid);
+        row_times(xrow, wz, xz);
+        row_times(hrow, uz, hz);
+        row_times(xrow, wr, xr);
+        row_times(hrow, ur, hr);
+        row_times(xrow, wh, xh);
+        let (z, r, rh) = (saved.z.row_mut(i), saved.r.row_mut(i), saved.rh.row_mut(i));
+        for j in 0..hid {
+            let zs0 = xz[j] + hz[j];
+            let zs = zs0 + bz[j];
+            z[j] = 1.0 / (1.0 + (-zs).exp());
+            let rs0 = xr[j] + hr[j];
+            let rs = rs0 + br[j];
+            r[j] = 1.0 / (1.0 + (-rs).exp());
+            rh[j] = r[j] * hrow[j];
+            finite &= [
+                xz[j], hz[j], zs0, zs, z[j], xr[j], hr[j], rs0, rs, r[j], rh[j],
+            ]
+            .iter()
+            .all(|v| v.is_finite());
+        }
+        row_times(rh, uh, rhu);
+        let (c, o) = (saved.c.row_mut(i), out.row_mut(i));
+        for j in 0..hid {
+            let cs0 = xh[j] + rhu[j];
+            let cs = cs0 + bh[j];
+            c[j] = cs.tanh();
+            let zi = alpha * z[j] + beta;
+            let keep = zi * hrow[j];
+            let take = z[j] * c[j];
+            o[j] = keep + take;
+            finite &= [xh[j], rhu[j], cs0, cs, c[j], zi, keep, take, o[j]]
+                .iter()
+                .all(|v| v.is_finite());
+        }
+    }
+    finite
 }
 
 /// A linear autodiff tape.
@@ -126,6 +284,12 @@ impl Tape {
         self.max_scalars = self.max_scalars.max(self.value_scalars());
         for node in self.nodes.drain(..) {
             self.pool.push_back(node.value.into_data());
+            // A fused GRU step's saved gates, in their allocation order.
+            if let Op::GruSeg { saved, .. } = node.op {
+                for t in [saved.z, saved.r, saved.c, saved.rh] {
+                    self.pool.push_back(t.into_data());
+                }
+            }
         }
         self.poisoned = false;
     }
@@ -203,12 +367,16 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Total number of scalars held in node values — the working-set size
-    /// of one recorded forward pass. Together with [`Tape::len`] this is
-    /// the telemetry probe for per-sample autodiff cost: node count tracks
-    /// op dispatch overhead, scalar count tracks memory traffic.
+    /// Total number of scalars held in node values and in the activations
+    /// fused ops save for backward — the working-set size of one recorded
+    /// forward pass. Together with [`Tape::len`] this is the telemetry
+    /// probe for per-sample autodiff cost: node count tracks op dispatch
+    /// overhead, scalar count tracks memory traffic.
     pub fn value_scalars(&self) -> usize {
-        self.nodes.iter().map(|n| n.value.len()).sum()
+        self.nodes
+            .iter()
+            .map(|n| n.value.len() + n.op.saved_scalars())
+            .sum()
     }
 
     /// Value of a node.
@@ -330,7 +498,7 @@ impl Tape {
 
     /// `1 - a` elementwise (GRU gate complement).
     pub fn one_minus(&mut self, a: Var) -> Var {
-        self.affine(a, -1.0, 1.0)
+        self.affine(a, ONE_MINUS.0, ONE_MINUS.1)
     }
 
     /// Elementwise product with a constant (no gradient flows into `c`).
@@ -347,8 +515,8 @@ impl Tape {
 
     /// `mul_const` against a shared constant: pushing the op bumps an `Arc`
     /// refcount instead of copying the tensor. Use for masks/weights that
-    /// are applied every pass (e.g. position keep-masks in the batched
-    /// kernel). Gradient behaviour is identical to [`Tape::mul_const`].
+    /// are applied every pass (e.g. the trainer's per-row loss weights).
+    /// Gradient behaviour is identical to [`Tape::mul_const`].
     pub fn mul_const_shared(&mut self, a: Var, c: &Arc<Tensor>) -> Var {
         let (r, cc) = self.value(a).shape();
         assert_eq!(c.shape(), (r, cc), "mul_const_shared shape mismatch");
@@ -476,6 +644,50 @@ impl Tape {
         self.push(Op::ScatterAddRowsP(a, plan.clone()), v)
     }
 
+    /// `state` with row `plan[i]` replaced by row `i` of `rows`: the
+    /// in-place path-state update of one message-passing position. Indices
+    /// must be distinct.
+    ///
+    /// One node for the `mul_const` (0 on replaced rows, 1 elsewhere),
+    /// `scatter_add_rows_plan` and `add` the update used to record, with
+    /// their arithmetic: a replaced row is `(state * 0.0) + (0.0 + rows)`,
+    /// any other row `(state * 1.0) + 0.0`, and backward hands `rows` the
+    /// gradient of its target rows and `state` the gradient times that
+    /// 0/1 mask. Signed zeros and NaN therefore come out bitwise as they
+    /// did through the three ops.
+    pub fn replace_rows_plan(&mut self, state: Var, rows: Var, plan: &IndexPlan) -> Var {
+        let (n, cols) = self.value(state).shape();
+        assert_eq!(
+            self.value(rows).shape(),
+            (plan.len(), cols),
+            "replace_rows_plan needs one row per index"
+        );
+        for &i in plan.indices() {
+            assert!(i < n, "replace index {i} out of {n} rows");
+        }
+        debug_assert!(
+            {
+                let mut seen = vec![false; n];
+                plan.indices()
+                    .iter()
+                    .all(|&i| seen.get_mut(i).is_some_and(|s| !std::mem::replace(s, true)))
+            },
+            "replace_rows_plan indices must be distinct"
+        );
+        let mut v = self.alloc_tensor(n, cols);
+        let sv = self.value(state);
+        let rv = self.value(rows);
+        for (o, &s) in v.data_mut().iter_mut().zip(sv.data()) {
+            *o = s * 1.0 + 0.0;
+        }
+        for (r, &i) in plan.indices().iter().enumerate() {
+            for ((o, &s), &x) in v.row_mut(i).iter_mut().zip(sv.row(i)).zip(rv.row(r)) {
+                *o = s * 0.0 + (0.0 + x);
+            }
+        }
+        self.push(Op::ReplaceRowsP(state, rows, plan.clone()), v)
+    }
+
     /// Batched matrix product `a * b` where `a`'s rows are the concatenation
     /// of per-sample row blocks (per `seg`) and `b` is a weight shared by
     /// every sample. The forward value is bitwise identical to
@@ -509,6 +721,78 @@ impl Tape {
             }
         }
         self.push(Op::SegAddRow(a, b, seg.clone()), v)
+    }
+
+    /// Fused segment-aware GRU step over `x` (`rows x in`) and `h`
+    /// (`rows x hid`): one node for the twenty that
+    /// [`crate::layers::GruCell::step`] records.
+    ///
+    /// Each output element is computed with the unfused step's expressions
+    /// in its sum order (the gate products run row by row in
+    /// [`Tensor::matmul_into`]'s loop order), so the value is bitwise the
+    /// unfused step's. The node keeps only `z`, `r`, `c` and `r ⊙ h`, drawn
+    /// from the arena after its output. Its hand-written backward applies
+    /// the partials of `x`, `h`, and every weight and bias per segment
+    /// through the same accumulations, in the same order, as the unfused
+    /// tape (`h` may already hold a gradient from later ops), so gradients
+    /// are bitwise identical as well; empty segments contribute nothing.
+    /// The tape is poisoned when any value the unfused step would have
+    /// recorded is non-finite, even if the output is finite.
+    pub fn gru_seg(&mut self, x: Var, h: Var, p: &GruParams, seg: &SegmentPlan) -> Var {
+        let (rows, in_dim) = self.value(x).shape();
+        let hid = self.value(h).cols();
+        assert!(in_dim > 0 && hid > 0, "gru_seg needs non-empty widths");
+        assert_eq!(self.value(h).rows(), rows, "gru_seg row mismatch");
+        assert_eq!(seg.total(), rows, "gru_seg segment coverage mismatch");
+        for (w, shape) in [
+            (p.wz, (in_dim, hid)),
+            (p.wr, (in_dim, hid)),
+            (p.wh, (in_dim, hid)),
+            (p.uz, (hid, hid)),
+            (p.ur, (hid, hid)),
+            (p.uh, (hid, hid)),
+            (p.bz, (1, hid)),
+            (p.br, (1, hid)),
+            (p.bh, (1, hid)),
+        ] {
+            assert_eq!(self.value(w).shape(), shape, "gru_seg parameter shape");
+        }
+        let mut out = self.alloc_tensor(rows, hid);
+        let mut saved = GruSaved {
+            z: self.alloc_tensor(rows, hid),
+            r: self.alloc_tensor(rows, hid),
+            c: self.alloc_tensor(rows, hid),
+            rh: self.alloc_tensor(rows, hid),
+        };
+        let mut scratch = vec![0.0; 6 * hid];
+        let finite = gru_forward(
+            [self.value(x), self.value(h)],
+            [
+                self.value(p.wz),
+                self.value(p.uz),
+                self.value(p.bz),
+                self.value(p.wr),
+                self.value(p.ur),
+                self.value(p.br),
+                self.value(p.wh),
+                self.value(p.uh),
+                self.value(p.bh),
+            ],
+            &mut out,
+            &mut saved,
+            &mut scratch,
+        );
+        if !finite {
+            self.poisoned = true;
+        }
+        let op = Op::GruSeg {
+            x,
+            h,
+            p: *p,
+            seg: seg.clone(),
+            saved,
+        };
+        self.push(op, out)
     }
 
     /// Segment sum: `out[s, :]` is the column-wise sum of `a`'s rows in
@@ -652,8 +936,10 @@ impl Tape {
         self.push(Op::Mae(pred, target.clone()), v)
     }
 
-    /// Reverse pass from `loss` (must be `1 x 1`). Returns one gradient slot
-    /// per node; leaves hold the accumulated parameter gradients.
+    /// Reverse pass from `loss` (must be `1 x 1`). Returns the accumulated
+    /// gradients of the leaves (inputs and parameters) only: an interior
+    /// node's gradient is dropped as soon as it has propagated, so the pass
+    /// never holds more than the gradients still waiting to propagate.
     /// INVARIANT: `grads` has exactly one slot per tape node, so every node
     /// id (and every `Var` recorded inside an op, which predates its node)
     /// indexes into it.
@@ -675,7 +961,9 @@ impl Tape {
                 "non-finite gradient reached node {i} on a clean tape"
             );
             self.accumulate(i, &g, &mut grads, &mut seg);
-            grads[i] = Some(g);
+            if matches!(self.nodes[i].op, Op::Leaf) {
+                grads[i] = Some(g);
+            }
         }
         Gradients { grads, seg }
     }
@@ -756,24 +1044,17 @@ impl Tape {
             }
             Op::AddRow(a, b) => {
                 add_to(grads, *a, g.clone());
-                // column sums
-                let mut gb = Tensor::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for c in 0..g.cols() {
-                        gb.set(0, c, gb.get(0, c) + g.get(r, c));
-                    }
-                }
-                add_to(grads, *b, gb);
+                add_to(grads, *b, col_sums(g, 0, g.rows()));
             }
             Op::Sub(a, b) => {
                 add_to(grads, *a, g.clone());
                 add_to(grads, *b, g.map(|x| -x));
             }
             Op::Mul(a, b) => {
-                let av = self.value(*a).clone();
-                let bv = self.value(*b).clone();
-                add_to(grads, *a, g.zip(&bv, |x, y| x * y));
-                add_to(grads, *b, g.zip(&av, |x, y| x * y));
+                let av = self.value(*a);
+                let bv = self.value(*b);
+                add_to(grads, *a, g.zip(bv, |x, y| x * y));
+                add_to(grads, *b, g.zip(av, |x, y| x * y));
             }
             Op::Affine(a, alpha, _beta) => {
                 add_to(grads, *a, g.map(|x| alpha * x));
@@ -790,11 +1071,11 @@ impl Tape {
                 add_to(grads, *a, g.zip(y, |gx, yx| gx * (1.0 - yx * yx)));
             }
             Op::Relu(a) => {
-                let x = self.value(*a).clone();
+                let x = self.value(*a);
                 add_to(
                     grads,
                     *a,
-                    g.zip(&x, |gx, xv| if xv > 0.0 { gx } else { 0.0 }),
+                    g.zip(x, |gx, xv| if xv > 0.0 { gx } else { 0.0 }),
                 );
             }
             Op::ConcatCols(a, b) => {
@@ -842,6 +1123,87 @@ impl Tape {
             Op::MulConstShared(a, c) => {
                 add_to(grads, *a, g.zip(c, |x, y| x * y));
             }
+            Op::ReplaceRowsP(state, rows, plan) => {
+                // The partials in the order the unfused chain made them:
+                // the scatter's to `rows`, then the 0/1 mask's to `state`.
+                let mut gr = Tensor::zeros(plan.len(), g.cols());
+                for (r, &i) in plan.indices().iter().enumerate() {
+                    gr.copy_row_from(r, g, i);
+                }
+                add_to(grads, *rows, gr);
+                let mut gs = g.map(|x| x * 1.0);
+                for &i in plan.indices() {
+                    for (o, &x) in gs.row_mut(i).iter_mut().zip(g.row(i)) {
+                        *o = x * 0.0;
+                    }
+                }
+                add_to(grads, *state, gs);
+            }
+            Op::GruSeg {
+                x,
+                h,
+                p,
+                seg: plan,
+                saved,
+            } => {
+                let xv = self.value(*x);
+                let hv = self.value(*h);
+                let GruSaved { z, r, c, rh } = saved;
+                let (alpha, beta) = ONE_MINUS;
+                let n_seg = plan.n_segments();
+                // Weight and bias partials per non-empty segment, exactly
+                // as `SegMatMul` and `SegAddRow` make them.
+                let weight =
+                    |seg: &mut [Option<Vec<Option<Tensor>>>], w: Var, a: &Tensor, d: &Tensor| {
+                        for s in 0..n_seg {
+                            let (lo, hi) = plan.range(s);
+                            if lo < hi {
+                                add_seg(seg, w, s, n_seg, a.matmul_t_rows(d, lo, hi));
+                            }
+                        }
+                    };
+                let bias = |seg: &mut [Option<Vec<Option<Tensor>>>], b: Var, d: &Tensor| {
+                    for s in 0..n_seg {
+                        let (lo, hi) = plan.range(s);
+                        if lo < hi {
+                            add_seg(seg, b, s, n_seg, col_sums(d, lo, hi));
+                        }
+                    }
+                };
+                // The unfused nodes in reverse, each with its own arm's
+                // expression: `out = keep + take`, `take = z ⊙ c`,
+                // `keep = (1 - z) ⊙ h` (h's first partial), `1 - z`, then
+                // the candidate's tanh and the update gate's sigmoid.
+                let dh = g.zip(&z.map(|v| alpha * v + beta), |x, y| x * y);
+                let mut gz = g.zip(c, |x, y| x * y);
+                gz.add_scaled(&g.zip(hv, |x, y| x * y).map(|x| alpha * x), 1.0);
+                let gcs = g.zip(z, |x, y| x * y).zip(c, |gx, yx| gx * (1.0 - yx * yx));
+                let gzs = gz.zip(z, |gx, yx| gx * yx * (1.0 - yx));
+                add_to(grads, *h, dh);
+                // Candidate: bias, `(r ⊙ h) Uh`, `x Wh`.
+                bias(seg, p.bh, &gcs);
+                let grh = gcs.matmul(&self.value(p.uh).transpose());
+                weight(seg, p.uh, rh, &gcs);
+                add_to(grads, *x, gcs.matmul(&self.value(p.wh).transpose()));
+                weight(seg, p.wh, xv, &gcs);
+                // `r ⊙ h` (h's second partial) and the reset gate.
+                let dh = grh.zip(r, |x, y| x * y);
+                let grs = grh
+                    .zip(hv, |x, y| x * y)
+                    .zip(r, |gx, yx| gx * yx * (1.0 - yx));
+                add_to(grads, *h, dh);
+                bias(seg, p.br, &grs);
+                add_to(grads, *h, grs.matmul(&self.value(p.ur).transpose()));
+                weight(seg, p.ur, hv, &grs);
+                add_to(grads, *x, grs.matmul(&self.value(p.wr).transpose()));
+                weight(seg, p.wr, xv, &grs);
+                // Update gate.
+                bias(seg, p.bz, &gzs);
+                add_to(grads, *h, gzs.matmul(&self.value(p.uz).transpose()));
+                weight(seg, p.uz, hv, &gzs);
+                add_to(grads, *x, gzs.matmul(&self.value(p.wz).transpose()));
+                weight(seg, p.wz, xv, &gzs);
+            }
             Op::SegMatMul(a, b, plan) => {
                 let av = self.value(*a);
                 let bv = self.value(*b);
@@ -871,13 +1233,7 @@ impl Tape {
                     if lo == hi {
                         continue;
                     }
-                    let mut gb = Tensor::zeros(1, g.cols());
-                    for r in lo..hi {
-                        for c in 0..g.cols() {
-                            gb.set(0, c, gb.get(0, c) + g.get(r, c));
-                        }
-                    }
-                    add_seg(seg, *b, s, n_seg, gb);
+                    add_seg(seg, *b, s, n_seg, col_sums(g, lo, hi));
                 }
             }
             Op::SegmentSum(a, plan) => {
@@ -957,8 +1313,9 @@ impl Tape {
     }
 }
 
-/// Result of a backward pass.
+/// Result of a backward pass: the gradients of the tape's leaves.
 pub struct Gradients {
+    /// One slot per node; only leaf slots are ever filled.
     grads: Vec<Option<Tensor>>,
     /// Per-(node, segment) partials from segment-aware ops. Kept separate
     /// from `grads` so each segment's accumulation order is exactly the
@@ -968,7 +1325,9 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Gradient of the loss w.r.t. node `v`, if it received any.
+    /// Gradient of the loss w.r.t. leaf `v` (an input or parameter), if it
+    /// received any. Always `None` for a non-leaf node: backward drops an
+    /// interior gradient once it has propagated.
     pub fn get(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
@@ -1005,10 +1364,8 @@ mod tests {
         let grads = tape.backward(loss);
         let eps = 1e-6;
         for (li, leaf) in leaves.iter().enumerate() {
-            let analytic = grads
-                .get(vars[li])
-                .unwrap_or_else(|| panic!("leaf {li} got no gradient"))
-                .clone();
+            let analytic =
+                total_grad(&grads, vars[li]).unwrap_or_else(|| panic!("leaf {li} got no gradient"));
             for e in 0..leaf.len() {
                 let mut plus = leaves.to_vec();
                 plus[li].data_mut()[e] += eps;
@@ -1032,6 +1389,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A leaf's whole gradient: its plain slot, or else the sum of its
+    /// per-segment slots (parameters of segment ops have only those).
+    fn total_grad(grads: &Gradients, v: Var) -> Option<Tensor> {
+        if let Some(g) = grads.get(v) {
+            return Some(g.clone());
+        }
+        let mut parts = grads.seg.get(v.0)?.as_ref()?.iter().flatten();
+        let mut sum = parts.next()?.clone();
+        for t in parts {
+            sum.add_scaled(t, 1.0);
+        }
+        Some(sum)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u64> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     fn rand_t(r: usize, c: usize, seed: u64) -> Tensor {
@@ -1225,6 +1600,168 @@ mod tests {
             &[x, h, wz, uz, bz, wh, uh],
             1e-5,
         );
+    }
+
+    #[test]
+    fn grad_gru_seg() {
+        // Leaves: x, h, then Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh.
+        let (rows, in_dim, hid) = (5, 3, 4);
+        let mut leaves = vec![rand_t(rows, in_dim, 60), rand_t(rows, hid, 61)];
+        for (i, (r, c)) in [(in_dim, hid), (hid, hid), (1, hid)]
+            .iter()
+            .cycle()
+            .take(9)
+            .enumerate()
+        {
+            leaves.push(rand_t(*r, *c, 62 + i as u64));
+        }
+        let seg = SegmentPlan::from_lens(&[2, 0, 3]);
+        grad_check(
+            move |tape, _| {
+                let p = GruParams {
+                    wz: Var(2),
+                    uz: Var(3),
+                    bz: Var(4),
+                    wr: Var(5),
+                    ur: Var(6),
+                    br: Var(7),
+                    wh: Var(8),
+                    uh: Var(9),
+                    bh: Var(10),
+                };
+                let o = tape.gru_seg(Var(0), Var(1), &p, &seg);
+                let sq = tape.mul(o, o);
+                tape.sum_all(sq)
+            },
+            &leaves,
+            1e-5,
+        );
+    }
+
+    /// The fused step's saved gates are arena buffers: counted by
+    /// `value_scalars`, returned to the pool on `reset`, and drawn again by
+    /// the replay without a fresh allocation.
+    #[test]
+    fn gru_seg_saved_gates_live_in_the_arena() {
+        let (rows, hid) = (6, 4);
+        let x = rand_t(rows, 3, 80);
+        let h = rand_t(rows, hid, 81);
+        let params: Vec<Tensor> = (0..9)
+            .map(|i| match i % 3 {
+                0 => rand_t(3, hid, 82 + i),
+                1 => rand_t(hid, hid, 82 + i),
+                _ => rand_t(1, hid, 82 + i),
+            })
+            .collect();
+        let seg = SegmentPlan::from_lens(&[2, 0, 4]);
+        let run = |tape: &mut Tape| {
+            let (vx, vh) = (tape.leaf_copied(&x), tape.leaf_copied(&h));
+            let v: Vec<Var> = params.iter().map(|t| tape.leaf_copied(t)).collect();
+            let p = GruParams {
+                wz: v[0],
+                uz: v[1],
+                bz: v[2],
+                wr: v[3],
+                ur: v[4],
+                br: v[5],
+                wh: v[6],
+                uh: v[7],
+                bh: v[8],
+            };
+            let before = tape.value_scalars();
+            tape.gru_seg(vx, vh, &p, &seg);
+            tape.value_scalars() - before
+        };
+        let mut tape = Tape::new();
+        // The output plus z, r, c and r ⊙ h.
+        assert_eq!(run(&mut tape), 5 * rows * hid);
+        let misses = tape.reuse_misses();
+        tape.reset();
+        assert_eq!(tape.pool_len(), 11 + 5);
+        run(&mut tape);
+        assert_eq!(tape.reuse_misses(), misses, "replay allocated");
+        assert_eq!(tape.pool_len(), 0);
+    }
+
+    #[test]
+    fn grad_replace_rows_plan() {
+        let state = rand_t(5, 3, 70);
+        let rows = rand_t(2, 3, 71);
+        let plan = IndexPlan::new(vec![3, 1]);
+        grad_check(
+            move |tape, _| {
+                let o = tape.replace_rows_plan(Var(0), Var(1), &plan);
+                let sq = tape.mul(o, o);
+                tape.sum_all(sq)
+            },
+            &[state, rows],
+            1e-6,
+        );
+    }
+
+    /// `replace_rows_plan` against the mask / scatter / add chain it
+    /// replaces, bitwise in values and gradients: a NaN state row (replaced
+    /// and kept), negative zeros in the state and in the new rows, and a
+    /// later op that reads the new rows first in backward.
+    #[test]
+    fn replace_rows_plan_matches_mask_scatter_add_bitwise() {
+        let state = Tensor::from_vec(
+            4,
+            3,
+            vec![
+                -0.0,
+                1.5,
+                -2.0, //
+                0.25,
+                -0.0,
+                3.0, //
+                f64::NAN,
+                f64::NAN,
+                f64::NAN, //
+                f64::NAN,
+                -1.0,
+                -0.0,
+            ],
+        );
+        let rows = Tensor::from_vec(2, 3, vec![-0.0, 0.5, -0.75, 2.0, -0.0, 0.0]);
+        let plan = IndexPlan::new(vec![2, 0]);
+        let weights = Tensor::from_fn(4, 3, |r, c| if (r + c) % 2 == 0 { -1.5 } else { 0.5 });
+        let run = |fused: bool| {
+            let mut tape = Tape::new();
+            let vs = tape.leaf(state.clone());
+            let vr = tape.leaf(rows.clone());
+            let out = if fused {
+                tape.replace_rows_plan(vs, vr, &plan)
+            } else {
+                let keep = Tensor::from_fn(4, 3, |r, _| if r == 2 || r == 0 { 0.0 } else { 1.0 });
+                let kept = tape.mul_const(vs, &keep);
+                let scattered = tape.scatter_add_rows_plan(vr, &plan, 4);
+                tape.add(kept, scattered)
+            };
+            let msg = tape.scatter_add_rows_plan(vr, &IndexPlan::new(vec![1, 1]), 2);
+            let weighted = tape.mul_const(out, &weights);
+            let a = tape.sum_all(weighted);
+            let b = tape.sum_all(msg);
+            let loss = tape.add(a, b);
+            let grads = tape.backward(loss);
+            [
+                bits(tape.value(out)),
+                bits(grads.get(vs).unwrap()),
+                bits(grads.get(vr).unwrap()),
+            ]
+        };
+        let (fused, unfused) = (run(true), run(false));
+        assert_eq!(fused, unfused);
+        // The cases the test is for are really there: NaN passes through,
+        // the adds turn every -0.0 into +0.0 (a plain row copy would not),
+        // and masked gradients of negative weights are -0.0.
+        let out = &fused[0];
+        assert!(out.iter().any(|&b| f64::from_bits(b).is_nan()));
+        assert!(
+            !out.contains(&(-0.0f64).to_bits()),
+            "-0.0 survived the adds"
+        );
+        assert!(fused[1].contains(&(-0.0f64).to_bits()), "no g * 0.0 = -0.0");
     }
 
     #[test]

@@ -155,6 +155,11 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Borrow row `r` mutably.
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// Copy `src`'s elements into `self` without reallocating. Shapes must
     /// match — this is the buffer-reuse primitive for epoch-boundary state
     /// snapshots (see `ParamStore::copy_from`).

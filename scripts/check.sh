@@ -103,6 +103,12 @@ cargo build --release
 step "cargo test --workspace"
 cargo test --workspace -q
 
+# The benchmark package (bench/) is outside the Cargo workspace, so the step
+# above never compiles it, yet it calls nn and core APIs directly. Its schema
+# test runs every workload at a tiny size and checks every metric is emitted.
+step "cargo test bench-ledger (benchmark schema test)"
+cargo test -q --release --offline --manifest-path bench/Cargo.toml
+
 # Resume-determinism smoke test: training 2 epochs, checkpointing, and
 # resuming for 2 more must be bit-identical to training 4 epochs straight.
 # Guards the crash-safety contract (see DESIGN.md "Failure model & recovery").
