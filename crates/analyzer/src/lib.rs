@@ -59,9 +59,7 @@ pub const NUMERIC_PATHS: &[&str] = &[
 ];
 
 /// Directory components that exclude a file from analysis entirely.
-const SKIP_DIRS: &[&str] = &[
-    "tests", "benches", "examples", "fixtures", "target", "vendor",
-];
+const SKIP_DIRS: &[&str] = &["tests", "examples", "fixtures", "target", "vendor"];
 
 /// Aggregated analysis result over a set of files.
 #[derive(Debug, Default)]
@@ -229,7 +227,7 @@ impl std::error::Error for AnalyzeError {}
 
 /// Analyze the whole workspace rooted at `root` (the directory holding the
 /// top-level `Cargo.toml`). Scans `src/` and `crates/*/src/`; `tests/`,
-/// `benches/`, `examples/`, `fixtures/`, and `vendor/` are exempt.
+/// `examples/`, `fixtures/`, and `vendor/` are exempt.
 #[must_use = "the report carries the findings; dropping it skips the gate"]
 pub fn analyze_workspace(root: &Path) -> Result<Report, AnalyzeError> {
     let mut files = Vec::new();

@@ -14,8 +14,10 @@ use routenet_core::prelude::*;
 use routenet_dataset::split::generate_paper_datasets;
 use std::time::Instant;
 
+const USAGE: &str = "ablation [--scale 0.5] [--epochs 20] [--seed 1]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let scale = args.get_or("scale", 0.5f64);
     let seed = args.get_or("seed", 1u64);
     let epochs = args.get_or("epochs", 20usize);

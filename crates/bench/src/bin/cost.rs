@@ -1,30 +1,69 @@
-//! **E5 / §1 cost claim** — per-sample wall-clock of RouteNet inference vs.
+//! **E5 / §1 cost claim** — per-scenario wall-clock of RouteNet inference vs.
 //! packet-level simulation vs. the analytic model, across topology sizes.
 //! This is the paper's motivation: "packet-level simulators produce accurate
 //! KPI predictions at the expense of high computational cost".
 //!
 //! ```text
-//! cargo run -p routenet-bench --release --bin cost -- \
-//!     [--reps 5] [--duration 60] [--capacity-mult 100]
+//! cargo run -p routenet-bench --release --bin cost -- [--reps 5]
 //! ```
 //!
-//! `--capacity-mult` scales link capacities *and* demands together, keeping
-//! utilizations (and thus the queueing structure) identical while raising
-//! the packet rate to realistic levels. The KDN-style 10 kbps capacities are
-//! a scaled-down convenience; real links are 10^3..10^6 times faster, and
-//! simulator cost grows linearly with packet volume while inference cost
-//! stays constant — that is the paper's cost argument.
+//! One CSV covers two regimes, named in the `regime` column:
+//! - `protocol`: the labelling recipe of `ProtocolConfig::default()` (its
+//!   simulated window and warm-up, KDN-style ×1 capacities) — the regime
+//!   the bench ledger's `cost.*` metrics measure;
+//! - `line-rate`: capacities *and* demands ×1000, so utilizations (and thus
+//!   the queueing structure) are unchanged while the packet rate reaches
+//!   that of ~10 Mbps links, over a 60 s window.
+//!
+//! The regimes disagree on purpose: simulation cost grows with the number
+//! of packets simulated, while inference cost depends only on the scenario's
+//! size.
 
 use routenet_bench::Args;
 use routenet_core::prelude::*;
 use routenet_dataset::gen::{generate_sample, GenConfig, TopologySpec};
+use routenet_dataset::split::ProtocolConfig;
+use routenet_simnet::sim::{simulate, SimConfig};
 use std::time::Instant;
 
+const USAGE: &str = "cost [--reps 5]";
+
+/// A simulated window and a scale applied to capacities and demands alike.
+struct Regime {
+    name: &'static str,
+    duration_s: f64,
+    warmup_s: f64,
+    capacity_mult: f64,
+}
+
+/// Mean wall-clock milliseconds of `reps` calls of `f(rep)`.
+fn mean_ms(reps: usize, mut f: impl FnMut(usize)) -> f64 {
+    let t = Instant::now();
+    for r in 0..reps {
+        f(r);
+    }
+    t.elapsed().as_secs_f64() * 1e3 / reps as f64
+}
+
 fn main() {
-    let args = Args::from_env();
-    let reps = args.get_or("reps", 5usize);
-    let duration = args.get_or("duration", 60.0f64);
-    let cap_mult = args.get_or("capacity-mult", 1000.0f64);
+    let args = Args::from_env(USAGE);
+    let reps = args.get_or("reps", 5usize).max(1);
+
+    let protocol = ProtocolConfig::default();
+    let regimes = [
+        Regime {
+            name: "protocol",
+            duration_s: protocol.sim_duration_s,
+            warmup_s: protocol.sim_warmup_s,
+            capacity_mult: 1.0,
+        },
+        Regime {
+            name: "line-rate",
+            duration_s: 60.0,
+            warmup_s: 6.0,
+            capacity_mult: 1000.0,
+        },
+    ];
 
     let model = {
         let mut m = RouteNet::new(RouteNetConfig::default());
@@ -39,85 +78,71 @@ fn main() {
     };
     let mm1 = Mm1Baseline::default();
 
-    println!(
-        "# cost: per-scenario wall-clock, {reps} reps, sim window {duration}s, capacities x{cap_mult}"
-    );
-    println!("topology,nodes,paths,sim_ms,routenet_ms,mm1_ms,speedup_vs_sim,sim_events");
-    for (spec, label) in [
-        (TopologySpec::Nsfnet, "NSFNET"),
-        (TopologySpec::Gbn, "GBN"),
-        (TopologySpec::Geant2, "Geant2"),
-        (
-            TopologySpec::Synthetic {
-                n: 50,
-                topo_seed: 2019,
-            },
-            "Synth-50",
-        ),
-    ] {
-        let mut cfg = GenConfig::new(spec.clone(), 1, 5);
-        cfg.sim.duration_s = duration;
-        cfg.sim.warmup_s = duration / 10.0;
-        // One full labeled sample (includes the simulation) to set the stage.
-        let mut sample = generate_sample(&cfg, 0);
-        // Scale to realistic rates: capacities and demands up together, so
-        // utilization (and queueing behaviour) is unchanged.
-        let link_ids: Vec<_> = sample.scenario.graph.links().map(|(id, _)| id).collect();
-        for id in link_ids {
-            sample.scenario.graph.link_mut(id).unwrap().capacity_bps *= cap_mult;
-        }
-        sample.scenario.traffic.scale(cap_mult);
-        let scenario = &sample.scenario;
-
-        // Simulator timing.
-        let mut sim_ms = 0.0;
-        let mut events = 0u64;
-        for r in 0..reps {
-            let sim_cfg = routenet_simnet::sim::SimConfig {
-                seed: r as u64,
-                ..cfg.sim.clone()
-            };
-            let t = Instant::now();
-            let res = routenet_simnet::sim::simulate(
-                &scenario.graph,
-                &scenario.routing,
-                &scenario.traffic,
-                &sim_cfg,
-            )
-            .unwrap();
-            sim_ms += t.elapsed().as_secs_f64() * 1e3;
-            events = res.events_processed;
-        }
-        sim_ms /= reps as f64;
-
-        // RouteNet inference timing (includes scenario compilation).
-        let mut rn_ms = 0.0;
-        for _ in 0..reps {
-            let t = Instant::now();
-            let preds = model.predict_scenario(scenario);
-            rn_ms += t.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(preds.len(), scenario.n_pairs());
-        }
-        rn_ms /= reps as f64;
-
-        // Analytic baseline timing.
-        let mut mm1_ms = 0.0;
-        for _ in 0..reps {
-            let t = Instant::now();
-            let preds = mm1.predict(scenario);
-            mm1_ms += t.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(preds.len(), scenario.n_pairs());
-        }
-        mm1_ms /= reps as f64;
-
+    println!("# cost: per-scenario wall-clock, mean of {reps} reps, untrained RouteNet");
+    for r in &regimes {
         println!(
-            "{label},{},{},{sim_ms:.1},{rn_ms:.1},{mm1_ms:.3},{:.0},{events}",
-            scenario.graph.n_nodes(),
-            scenario.n_pairs(),
-            sim_ms / rn_ms
+            "# regime {}: capacities and demands x{}, {} s simulated ({} s warm-up)",
+            r.name, r.capacity_mult, r.duration_s, r.warmup_s
         );
     }
+    println!("regime,topology,nodes,paths,sim_ms,routenet_ms,mm1_ms,speedup_vs_sim,sim_events");
+    for r in &regimes {
+        for (spec, label) in [
+            (TopologySpec::Nsfnet, "NSFNET"),
+            (TopologySpec::Gbn, "GBN"),
+            (TopologySpec::Geant2, "Geant2"),
+            (
+                TopologySpec::Synthetic {
+                    n: 50,
+                    topo_seed: 2019,
+                },
+                "Synth-50",
+            ),
+        ] {
+            let mut cfg = GenConfig::new(spec, 1, 5);
+            cfg.sim.duration_s = r.duration_s;
+            cfg.sim.warmup_s = r.warmup_s;
+            let mut sample = generate_sample(&cfg, 0);
+            let link_ids: Vec<_> = sample.scenario.graph.links().map(|(id, _)| id).collect();
+            for id in link_ids {
+                sample.scenario.graph.link_mut(id).unwrap().capacity_bps *= r.capacity_mult;
+            }
+            sample.scenario.traffic.scale(r.capacity_mult);
+            let scenario = &sample.scenario;
+
+            let mut events = 0u64;
+            let sim_ms = mean_ms(reps, |rep| {
+                let sim_cfg = SimConfig {
+                    seed: rep as u64,
+                    ..cfg.sim.clone()
+                };
+                let res = simulate(
+                    &scenario.graph,
+                    &scenario.routing,
+                    &scenario.traffic,
+                    &sim_cfg,
+                )
+                .unwrap();
+                events = res.events_processed;
+            });
+            // Inference timing includes scenario compilation.
+            let rn_ms = mean_ms(reps, |_| {
+                assert_eq!(model.predict_scenario(scenario).len(), scenario.n_pairs());
+            });
+            let mm1_ms = mean_ms(reps, |_| {
+                assert_eq!(mm1.predict(scenario).len(), scenario.n_pairs());
+            });
+
+            println!(
+                "{},{label},{},{},{sim_ms:.1},{rn_ms:.1},{mm1_ms:.3},{:.2},{events}",
+                r.name,
+                scenario.graph.n_nodes(),
+                scenario.n_pairs(),
+                sim_ms / rn_ms
+            );
+        }
+    }
     println!("# speedup_vs_sim = simulation time / RouteNet inference time.");
-    println!("# The gap is the paper's cost argument; it widens with simulated duration");
-    println!("# (labels need long windows for statistics) while inference cost does not.");
+    println!("# Simulation cost grows with the packets simulated (capacities x window);");
+    println!("# inference cost depends only on the scenario's size.");
 }

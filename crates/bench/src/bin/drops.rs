@@ -25,8 +25,10 @@ fn gen(spec: TopologySpec, n: usize, seed: u64, buffer: usize) -> Vec<Sample> {
     generate_dataset(&cfg)
 }
 
+const USAGE: &str = "drops [--samples 48] [--epochs 30] [--buffer 5] [--seed 1]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let samples = args.get_or("samples", 48usize);
     let epochs = args.get_or("epochs", 30usize);
     let buffer = args.get_or("buffer", 5usize);

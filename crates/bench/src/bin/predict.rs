@@ -6,7 +6,7 @@
 //!     --model model.json --data eval.jsonl [--out predictions.csv]
 //! ```
 
-use routenet_bench::{summary_row, Args};
+use routenet_bench::{summary_row, usage_exit, Args};
 use routenet_core::checkpoint::MAGIC;
 use routenet_core::prelude::*;
 use routenet_dataset::io::load_jsonl;
@@ -23,13 +23,12 @@ fn load_model(path: &str) -> Result<RouteNet, String> {
     RouteNet::from_json(&head).map_err(|e| format!("failed to parse: {e}"))
 }
 
+const USAGE: &str = "predict --model <model.json|train-state.ckpt> --data <jsonl> [--out <csv>]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let (Some(model_path), Some(data_path)) = (args.get("model"), args.get("data")) else {
-        eprintln!(
-            "usage: predict --model <model.json|train-state.ckpt> --data <jsonl> [--out <csv>]"
-        );
-        std::process::exit(2);
+        usage_exit(USAGE, "--model and --data are required");
     };
     let model = load_model(model_path).unwrap_or_else(|e| {
         eprintln!("{model_path}: {e}");

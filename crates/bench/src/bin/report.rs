@@ -37,8 +37,11 @@ fn write(path: &Path, content: &str) {
     eprintln!("# wrote {}", path.display());
 }
 
+const USAGE: &str = "report [--scale 1.0] [--epochs 40] [--seed 1] [--out results] \
+                     [--checkpoint-every 1] [--resume] [--no-telemetry]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let scale = args.get_or("scale", 1.0f64);
     let seed = args.get_or("seed", 1u64);
     let epochs = args.get_or("epochs", 40usize);

@@ -26,7 +26,7 @@
 //! response (shed, validation) fails the run: equivalence checks must size
 //! the workload below the daemon's shed threshold.
 
-use routenet_bench::Args;
+use routenet_bench::{usage_exit, Args};
 use routenet_core::checkpoint::MAGIC;
 use routenet_core::prelude::*;
 use routenet_dataset::io::load_jsonl;
@@ -126,27 +126,21 @@ fn write_lines(out_path: &str, lines: &BTreeMap<u64, String>) {
     });
 }
 
+const USAGE: &str = "serve-loadgen --data <jsonl> --out <jsonl> \
+                     (--connect <host:port> [--concurrency K] [--window W] [--shutdown] \
+                     | --offline --model <path>) [--repeat N]";
+
 fn main() {
-    let args = Args::from_env();
-    let Some(data_path) = args.get("data") else {
-        eprintln!(
-            "usage: serve-loadgen --data <jsonl> --out <jsonl> \
-             (--connect <host:port> [--concurrency K] [--window W] [--shutdown] \
-             | --offline --model <path>) [--repeat N]"
-        );
-        std::process::exit(2);
-    };
-    let Some(out_path) = args.get("out") else {
-        eprintln!("serve-loadgen: --out <jsonl> is required");
-        std::process::exit(2);
+    let args = Args::from_env(USAGE);
+    let (Some(data_path), Some(out_path)) = (args.get("data"), args.get("out")) else {
+        usage_exit(USAGE, "--data and --out are required");
     };
     let repeat = args.get_or("repeat", 1usize).max(1);
     let queries = corpus(data_path, repeat);
 
     if args.get("offline").is_some() {
         let Some(model_path) = args.get("model") else {
-            eprintln!("serve-loadgen: --offline needs --model <path>");
-            std::process::exit(2);
+            usage_exit(USAGE, "--offline needs --model");
         };
         let text = std::fs::read_to_string(model_path).unwrap_or_else(|e| {
             eprintln!("{model_path}: {e}");
@@ -186,8 +180,7 @@ fn main() {
     }
 
     let Some(addr) = args.get("connect") else {
-        eprintln!("serve-loadgen: pass --connect <host:port> or --offline");
-        std::process::exit(2);
+        usage_exit(USAGE, "pass --connect or --offline");
     };
     let concurrency = args.get_or("concurrency", 4usize).max(1);
     let window = args.get_or("window", 4usize);

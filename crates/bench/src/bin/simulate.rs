@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use routenet_bench::Args;
+use routenet_bench::{usage_exit, Args};
 use routenet_dataset::TopologySpec;
 use routenet_netgraph::routing::shortest_path_routing;
 use routenet_netgraph::topology::{assign_capacities, CapacityScheme};
@@ -24,8 +24,12 @@ use routenet_netgraph::traffic::{sample_traffic_matrix, TrafficModel};
 use routenet_obs::Telemetry;
 use routenet_simnet::sim::{simulate, SimConfig, SizeDistribution};
 
+const USAGE: &str = "simulate [--topology nsfnet|geant2|gbn|synth] [--nodes 20] [--seed 1] \
+                     [--duration 120] [--warmup 10] [--intensity 0.7] \
+                     [--out sim.telemetry.jsonl] [--no-telemetry]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let seed = args.get_or("seed", 1u64);
     let intensity = args.get_or("intensity", 0.7f64);
     let topo_name = args.get("topology").unwrap_or("nsfnet");
@@ -37,10 +41,7 @@ fn main() {
             n: args.get_or("nodes", 20usize),
             topo_seed: seed,
         },
-        other => {
-            eprintln!("unknown --topology {other}; use nsfnet|geant2|gbn|synth");
-            std::process::exit(2);
-        }
+        other => usage_exit(USAGE, &format!("unknown --topology {other:?}")),
     };
     let out = args.get("out").unwrap_or("sim.telemetry.jsonl");
     let tel = if args.get("no-telemetry").is_some() {

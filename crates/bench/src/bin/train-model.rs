@@ -9,20 +9,20 @@
 //! Pairs with `gen-dataset` (routenet-dataset) and `predict` for a complete
 //! file-based workflow without writing any Rust.
 
-use routenet_bench::{interrupt, Args};
+use routenet_bench::{interrupt, usage_exit, Args};
 use routenet_core::prelude::*;
 use routenet_dataset::io::{load_jsonl, load_jsonl_lenient};
 use routenet_obs::Telemetry;
 
+const USAGE: &str = "train-model --train <jsonl> [--val <jsonl>] [--out model.json] [--lenient] \
+                     [--epochs 30] [--lr 2e-3] [--batch 8] [--threads 0] [--t-iterations 4] \
+                     [--dim 16] [--seed 2019] [--checkpoint <ckpt>] [--checkpoint-every 1] \
+                     [--resume-from <ckpt>] [--no-telemetry]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let Some(train_path) = args.get("train") else {
-        eprintln!(
-            "usage: train-model --train <jsonl> [--val <jsonl>] --out <model.json> \
-             [--lenient] [--checkpoint <ckpt>] [--resume-from <ckpt>] [--no-telemetry] \
-             [--threads <n>]"
-        );
-        std::process::exit(2);
+        usage_exit(USAGE, "--train is required");
     };
     let lenient = args.get("lenient").is_some();
     let out = args.get("out").unwrap_or("model.json").to_string();

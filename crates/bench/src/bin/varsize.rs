@@ -15,8 +15,10 @@ use routenet_bench::{run_experiment, scaled_protocol, Args};
 use routenet_core::prelude::*;
 use routenet_dataset::gen::{generate_dataset, GenConfig, TopologySpec};
 
+const USAGE: &str = "varsize [--scale 1.0] [--epochs 30] [--seed 1] [--per-size 6]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let scale = args.get_or("scale", 1.0f64);
     let seed = args.get_or("seed", 1u64);
     let per_size = args.get_or("per-size", 6usize);

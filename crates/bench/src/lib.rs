@@ -6,14 +6,15 @@
 //! | Binary   | Paper artifact |
 //! |----------|----------------|
 //! | `report` | Figs. 2–4 and Table 1 from one trained model: `results/fig2.csv` (predicted vs. true delay, Geant2 sample), `fig3.csv` (relative-error CDFs per topology), `fig4.csv` (Top-10 paths with more delay), `table1.txt` (RouteNet vs M/M/1 vs FNN per topology), `summary.txt` |
-//! | `cost`   | Inference vs packet-level simulation wall-clock |
+//! | `cost`   | Inference vs packet-level simulation wall-clock, protocol and line-rate regimes (`results/cost.csv`) |
 //! | `ablation` | Error vs T iterations and state dims |
 //! | `varsize` | Error vs topology size on fresh 10..=50-node graphs |
 //! | `drops`  | Drop-probability head vs M/M/1/K blocking |
-//! | `train-model` / `predict` / `probe` / `pilot` | File-based model tooling and dev checks |
+//! | `train-model` / `predict` / `probe` | File-based model tooling and dev checks |
 //!
-//! All binaries accept `--scale <f>` (dataset-size multiplier), `--epochs
-//! <n>`, `--seed <n>` and print machine-readable series to stdout.
+//! Each binary declares its flags in one usage line and parses them with
+//! [`Args`], which rejects any other flag. The training binaries take
+//! `--scale <f>` (dataset-size multiplier), `--epochs <n>` and `--seed <n>`.
 
 #![warn(missing_docs)]
 
@@ -23,38 +24,64 @@ use routenet_core::prelude::*;
 use routenet_dataset::split::{generate_paper_datasets, PaperDatasets, ProtocolConfig};
 use std::time::Instant;
 
-/// Minimal CLI flag parser: `--key value` pairs, all optional.
-#[derive(Debug, Clone, Default)]
+/// Strict CLI flag parser: `--key value` pairs and bare `--switch`es. The
+/// binary's usage line declares every key it reads, so a flag the binary
+/// would ignore (a typo, `--help`, a removed option) stops the run instead
+/// of silently running defaults.
+#[derive(Debug, Clone)]
 pub struct Args {
+    usage: &'static str,
     pairs: Vec<(String, String)>,
 }
 
+/// The `--key`s a usage line declares, e.g. `reps` in `cost [--reps 5]`.
+fn declared_keys(usage: &str) -> impl Iterator<Item = &str> {
+    usage
+        .split(|c: char| c.is_whitespace() || matches!(c, '[' | ']' | '(' | ')' | '|'))
+        .filter_map(|word| word.strip_prefix("--"))
+}
+
 impl Args {
-    /// Parse from `std::env::args`, skipping the binary name.
-    pub fn from_env() -> Self {
+    /// Parse `std::env::args`. On a key `usage` does not declare, prints
+    /// the error and `usage` to stderr and exits with status 2.
+    pub fn from_env(usage: &'static str) -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_slice(&argv)
+        Self::parse(&argv, usage).unwrap_or_else(|e| usage_exit(usage, &e))
     }
 
-    /// Parse from an explicit list (used by tests).
-    pub fn from_slice(argv: &[String]) -> Self {
+    /// Parse an explicit argument list against the keys `usage` declares.
+    fn parse(argv: &[String], usage: &'static str) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i].trim_start_matches("--").to_string();
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                pairs.push((key, argv[i + 1].clone()));
-                i += 2;
-            } else {
-                pairs.push((key, "true".into()));
-                i += 1;
+        while let Some(arg) = argv.get(i) {
+            let key = arg
+                .strip_prefix("--")
+                .filter(|k| declared_keys(usage).any(|d| d == *k))
+                .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+            match argv.get(i + 1).filter(|v| !v.starts_with("--")) {
+                Some(value) => {
+                    pairs.push((key.to_string(), value.clone()));
+                    i += 2;
+                }
+                None => {
+                    pairs.push((key.to_string(), "true".into()));
+                    i += 1;
+                }
             }
         }
-        Args { pairs }
+        Ok(Args { usage, pairs })
     }
 
-    /// Look up a flag value.
+    /// Look up a flag value; the last occurrence wins.
+    ///
+    /// # Panics
+    /// If the usage line does not declare `key`: every key a binary reads
+    /// must be accepted by its parser.
     pub fn get(&self, key: &str) -> Option<&str> {
+        assert!(
+            declared_keys(self.usage).any(|d| d == key),
+            "--{key} is read but missing from the usage line"
+        );
         self.pairs
             .iter()
             .rev()
@@ -62,12 +89,28 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Parse a flag as `T`, falling back to `default`.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Parse a flag as `T`, or `default` when it is absent.
+    fn value<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid value {v:?} for --{key}")),
+        }
     }
+
+    /// [`Args::value`], exiting with status 2 and the usage line when the
+    /// value does not parse.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.value(key, default)
+            .unwrap_or_else(|e| usage_exit(self.usage, &e))
+    }
+}
+
+/// Print `error` and `usage` to stderr and exit with status 2.
+pub fn usage_exit(usage: &str, error: &str) -> ! {
+    eprintln!("error: {error}\nusage: {usage}");
+    std::process::exit(2)
 }
 
 /// Scaled paper protocol: `scale = 1.0` is the laptop default; the paper's
@@ -232,16 +275,24 @@ pub mod interrupt {
     }
 }
 
-/// Format an evaluation summary as one table row. An empty evaluation
-/// (`None`: every flow carried the unobserved sentinel) renders as an
-/// explicit "no data" row instead of panicking upstream.
+/// Format an evaluation summary as one table row. Rows whose truth fell
+/// below [`MIN_TRUTH`](routenet_core::metrics::MIN_TRUTH) are named by an
+/// `excluded=` count (omitted when zero), and a set with no row left
+/// (`None`) renders as an explicit "no data" row instead of panicking
+/// upstream.
 pub fn summary_row(label: &str, s: &Option<EvalSummary>) -> String {
     match s {
-        Some(s) => format!(
-            "{label:<22} n={:<7} MAE={:.4}s RMSE={:.4}s MRE={:.3} medRE={:.3} p95RE={:.3} r={:.3} R2={:.3}",
-            s.n, s.mae, s.rmse, s.mre, s.median_re, s.p95_re, s.pearson_r, s.r2
-        ),
-        None => format!("{label:<22} (no observed flows)"),
+        Some(s) => {
+            let mut row = format!(
+                "{label:<22} n={:<7} MAE={:.4}s RMSE={:.4}s MRE={:.3} medRE={:.3} p95RE={:.3} r={:.3} R2={:.3}",
+                s.n, s.mae, s.rmse, s.mre, s.median_re, s.p95_re, s.pearson_r, s.r2
+            );
+            if s.excluded > 0 {
+                row.push_str(&format!(" excluded={}", s.excluded));
+            }
+            row
+        }
+        None => format!("{label:<22} (no data)"),
     }
 }
 
@@ -249,15 +300,16 @@ pub fn summary_row(label: &str, s: &Option<EvalSummary>) -> String {
 mod tests {
     use super::*;
 
+    const USAGE: &str = "demo [--scale f] [--epochs n] [--seed n] [--verbose] [--x n]";
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        Args::parse(&argv, USAGE)
+    }
+
     #[test]
     fn args_parse_flags_and_defaults() {
-        let args = Args::from_slice(&[
-            "--scale".into(),
-            "2.5".into(),
-            "--verbose".into(),
-            "--epochs".into(),
-            "7".into(),
-        ]);
+        let args = parse(&["--scale", "2.5", "--verbose", "--epochs", "7"]).unwrap();
         assert_eq!(args.get_or("scale", 1.0f64), 2.5);
         assert_eq!(args.get_or("epochs", 3usize), 7);
         assert_eq!(args.get("verbose"), Some("true"));
@@ -266,8 +318,29 @@ mod tests {
 
     #[test]
     fn later_flags_win() {
-        let args = Args::from_slice(&["--x".into(), "1".into(), "--x".into(), "2".into()]);
+        let args = parse(&["--x", "1", "--x", "2"]).unwrap();
         assert_eq!(args.get_or("x", 0i32), 2);
+    }
+
+    #[test]
+    fn undeclared_keys_and_bad_values_are_rejected() {
+        for argv in [&["--help"][..], &["--capacity-mult", "100"], &["stray"]] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.starts_with("unknown argument"), "{argv:?}: {err}");
+        }
+        let args = parse(&["--epochs", "seven", "--scale", "-0.5"]).unwrap();
+        assert_eq!(
+            args.value("epochs", 3usize).unwrap_err(),
+            "invalid value \"seven\" for --epochs"
+        );
+        assert_eq!(args.value("scale", 1.0f64), Ok(-0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "missing from the usage line")]
+    fn reading_an_undeclared_key_is_a_bug() {
+        let args = parse(&[]).unwrap();
+        let _ = args.get("duration");
     }
 
     #[test]

@@ -36,22 +36,19 @@ impl PairedEval {
     ///
     /// An evaluation over samples whose flows were all unobserved (the
     /// `delay_s == 0` sentinel) is legitimately empty; callers render it as
-    /// "no data" rather than panicking inside [`evaluate`].
+    /// "no data".
     pub fn delay_summary(&self) -> Option<EvalSummary> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(evaluate(&self.delay_pred, &self.delay_true))
-        }
+        evaluate(&self.delay_pred, &self.delay_true)
     }
 
     /// Jitter metrics summary, if the predictor produced jitter values and
-    /// any pairs were collected.
+    /// any pair has a jitter truth at or above
+    /// [`MIN_TRUTH`](crate::metrics::MIN_TRUTH).
     pub fn jitter_summary(&self) -> Option<EvalSummary> {
-        if self.jitter_pred.is_empty() || self.jitter_pred.iter().any(|x| x.is_nan()) {
+        if self.jitter_pred.iter().any(|x| x.is_nan()) {
             None
         } else {
-            Some(evaluate(&self.jitter_pred, &self.jitter_true))
+            evaluate(&self.jitter_pred, &self.jitter_true)
         }
     }
 

@@ -6,22 +6,36 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Truths smaller than this (in the KPI's own unit: s for delay, s² for
+/// jitter) carry no relative-error information and are left out of every
+/// relative error. Exact zeros are the simulator's sentinel for a flow with
+/// no measured packets, and a jitter of ~1e-28 s² is round-off standing in
+/// for zero variance; dividing by either makes one row a ~1e9 "relative
+/// error" that swamps MRE and p95RE. The floor sits in a wide
+/// gap: in 8 NSFNET samples (`gen-dataset --samples 8 --seed 3 --duration
+/// 800`) 20 of 1,456 jitter truths are ~1e-28 s² and every other one is
+/// above 1e-9 s², while delays are never below a packet's service time.
+pub const MIN_TRUTH: f64 = 1e-12;
+
 /// Summary of a prediction-vs-truth comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalSummary {
     /// Number of (prediction, truth) pairs.
     pub n: usize,
+    /// Pairs whose truth is below [`MIN_TRUTH`]: counted in `n` and the
+    /// absolute metrics, left out of `mre`, `median_re` and `p95_re`.
+    pub excluded: usize,
     /// Mean absolute error.
     pub mae: f64,
     /// Root mean squared error.
     pub rmse: f64,
-    /// Mean relative error `|p - t| / t`.
+    /// Mean relative error `|p - t| / t` over the non-excluded pairs.
     /// unit: ratio
     pub mre: f64,
-    /// Median relative error.
+    /// Median relative error over the non-excluded pairs.
     /// unit: ratio
     pub median_re: f64,
-    /// 95th-percentile relative error.
+    /// 95th-percentile relative error over the non-excluded pairs.
     /// unit: ratio
     pub p95_re: f64,
     /// Pearson correlation coefficient.
@@ -30,45 +44,34 @@ pub struct EvalSummary {
     pub r2: f64,
 }
 
-/// Relative errors `|p - t| / max(t, eps)` with `eps` guarding tiny truths.
+/// Relative errors `|p - t| / |t|`, skipping truths below [`MIN_TRUTH`].
 pub fn relative_errors(preds: &[f64], truths: &[f64]) -> Vec<f64> {
-    assert_eq!(preds.len(), truths.len(), "length mismatch");
-    const EPS: f64 = 1e-12;
-    preds
-        .iter()
-        .zip(truths)
-        .map(|(&p, &t)| (p - t).abs() / t.abs().max(EPS))
+    signed_relative_errors(preds, truths)
+        .into_iter()
+        .map(f64::abs)
         .collect()
 }
 
-/// Signed relative errors `(p - t) / max(|t|, eps)` (Fig. 3 uses the
-/// distribution of signed errors in some renditions; we expose both).
-///
-/// Zero-truth rows are *skipped*: `delay == 0` is the simulator's sentinel
-/// for a flow that produced no measured packets (the same family
-/// `top_n_paths_by_delay` filters), and flooring them with `eps` turned
-/// each one into a ~1e12 pseudo-error that silently dominated MRE/p95.
-/// Use [`signed_relative_errors_counted`] to also learn how many rows
-/// were skipped.
+/// Signed relative errors `(p - t) / |t|`, skipping truths below
+/// [`MIN_TRUTH`]. Use [`signed_relative_errors_counted`] to also learn how
+/// many rows were skipped.
 pub fn signed_relative_errors(preds: &[f64], truths: &[f64]) -> Vec<f64> {
     signed_relative_errors_counted(preds, truths).0
 }
 
-/// [`signed_relative_errors`] plus the number of zero-truth sentinel rows
-/// that were skipped, so callers can surface coverage honestly instead of
+/// [`signed_relative_errors`] plus the number of rows skipped for a truth
+/// below [`MIN_TRUTH`], so callers can surface coverage honestly instead of
 /// absorbing unobserved flows into the error distribution.
 pub fn signed_relative_errors_counted(preds: &[f64], truths: &[f64]) -> (Vec<f64>, usize) {
     assert_eq!(preds.len(), truths.len(), "length mismatch");
-    const EPS: f64 = 1e-12;
     let mut errors = Vec::with_capacity(preds.len());
     let mut skipped = 0usize;
     for (&p, &t) in preds.iter().zip(truths) {
-        // The simulator writes the unobserved-flow sentinel as exactly 0.0;
-        // epsilon matching would also swallow real tiny delays.
-        if t == 0.0 {
+        if t.abs() < MIN_TRUTH {
             skipped += 1;
         } else {
-            errors.push((p - t) / t.abs().max(EPS));
+            // lint: allow(nan-div, reason = "the branch above skips every |t| below MIN_TRUTH, a positive constant")
+            errors.push((p - t) / t.abs());
         }
     }
     (errors, skipped)
@@ -146,10 +149,16 @@ pub fn r_squared(preds: &[f64], truths: &[f64]) -> f64 {
     }
 }
 
-/// Full evaluation summary.
-pub fn evaluate(preds: &[f64], truths: &[f64]) -> EvalSummary {
+/// Full evaluation summary, or `None` when no pair has a truth at or above
+/// [`MIN_TRUTH`] (an empty input included): with nothing to divide by there
+/// is no relative error to report, and callers render the set as "no data".
+pub fn evaluate(preds: &[f64], truths: &[f64]) -> Option<EvalSummary> {
     assert_eq!(preds.len(), truths.len());
-    assert!(!preds.is_empty(), "evaluate on empty data");
+    let (re, excluded) = signed_relative_errors_counted(preds, truths);
+    if re.is_empty() {
+        return None;
+    }
+    let re: Vec<f64> = re.into_iter().map(f64::abs).collect();
     let n = preds.len();
     let mae = preds
         .iter()
@@ -164,17 +173,17 @@ pub fn evaluate(preds: &[f64], truths: &[f64]) -> EvalSummary {
         .sum::<f64>()
         / n as f64)
         .sqrt();
-    let re = relative_errors(preds, truths);
-    EvalSummary {
+    Some(EvalSummary {
         n,
+        excluded,
         mae,
         rmse,
-        mre: re.iter().sum::<f64>() / n as f64,
+        mre: re.iter().sum::<f64>() / re.len() as f64,
         median_re: percentile(&re, 50.0),
         p95_re: percentile(&re, 95.0),
         pearson_r: pearson(preds, truths),
         r2: r_squared(preds, truths),
-    }
+    })
 }
 
 /// Empirical CDF sampled at `n_points` evenly spaced quantiles:
@@ -205,7 +214,7 @@ mod tests {
     #[test]
     fn perfect_prediction() {
         let t = vec![1.0, 2.0, 3.0, 4.0];
-        let s = evaluate(&t, &t);
+        let s = evaluate(&t, &t).unwrap();
         assert_eq!(s.mae, 0.0);
         assert_eq!(s.rmse, 0.0);
         assert_eq!(s.mre, 0.0);
@@ -218,7 +227,7 @@ mod tests {
     fn known_errors() {
         let preds = vec![1.1, 1.9, 3.3];
         let truths = vec![1.0, 2.0, 3.0];
-        let s = evaluate(&preds, &truths);
+        let s = evaluate(&preds, &truths).unwrap();
         assert!((s.mae - (0.1 + 0.1 + 0.3) / 3.0).abs() < 1e-12);
         let re = relative_errors(&preds, &truths);
         assert!((re[0] - 0.1).abs() < 1e-9);
@@ -279,8 +288,11 @@ mod tests {
 
     #[test]
     fn tiny_truth_guarded() {
-        let re = relative_errors(&[1.0], &[0.0]);
-        assert!(re[0].is_finite());
+        // A truth below the floor is skipped, never divided by.
+        assert!(relative_errors(&[1.0], &[0.0]).is_empty());
+        let re = relative_errors(&[1.0, 2.2], &[1e-13, 2.0]);
+        assert_eq!(re.len(), 1);
+        assert!((re[0] - 0.1).abs() < 1e-9);
     }
 
     #[test]
@@ -298,9 +310,28 @@ mod tests {
         assert!(sre.iter().all(|e| e.abs() < 1.0), "no 1e12 pseudo-errors");
         // The convenience wrapper agrees.
         assert_eq!(signed_relative_errors(&preds, &truths), sre);
-        // Tiny-but-nonzero truths still go through the eps guard.
+        // Tiny-but-nonzero truths below the floor are skipped too.
         let (sre, skipped) = signed_relative_errors_counted(&[1.0], &[1e-15]);
-        assert_eq!(skipped, 0);
-        assert!(sre[0].is_finite());
+        assert_eq!(skipped, 1);
+        assert!(sre.is_empty());
+    }
+
+    #[test]
+    fn round_off_jitter_is_excluded_from_relative_metrics() {
+        // Round-off standing in for a zero variance must not own the mean.
+        let preds = vec![0.011, 0.02, 0.003];
+        let truths = vec![0.01, 1e-28, 0.003];
+        let s = evaluate(&preds, &truths).unwrap();
+        assert_eq!((s.n, s.excluded), (3, 1));
+        assert!((s.mre - 0.05).abs() < 1e-9, "MRE over kept rows: {}", s.mre);
+        assert!(s.p95_re < 0.1);
+        // MAE still covers every pair.
+        assert!((s.mae - (0.001 + 0.02) / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn all_excluded_or_empty_has_no_summary() {
+        assert_eq!(evaluate(&[0.5, 0.2], &[0.0, 1e-28]), None);
+        assert_eq!(evaluate(&[], &[]), None);
     }
 }
