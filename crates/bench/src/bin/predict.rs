@@ -7,21 +7,12 @@
 //! ```
 
 use routenet_bench::{summary_row, usage_exit, Args};
-use routenet_core::checkpoint::MAGIC;
 use routenet_core::prelude::*;
 use routenet_dataset::io::load_jsonl;
+use routenet_faults::FsHandle;
+use routenet_serve::load_model;
 use std::fmt::Write as _;
-
-/// Load either a `model.json` export or a `TrainState` checkpoint (detected
-/// by its `ROUTENET-CKPT` header); checkpoints yield their best parameters.
-fn load_model(path: &str) -> Result<RouteNet, String> {
-    let head = std::fs::read_to_string(path).map_err(|e| format!("failed to read: {e}"))?;
-    if head.starts_with(MAGIC) {
-        let state = TrainState::load(path).map_err(|e| e.to_string())?;
-        return state.into_model().map_err(|e| e.to_string());
-    }
-    RouteNet::from_json(&head).map_err(|e| format!("failed to parse: {e}"))
-}
+use std::path::Path;
 
 const USAGE: &str = "predict --model <model.json|train-state.ckpt> --data <jsonl> [--out <csv>]";
 
@@ -30,7 +21,7 @@ fn main() {
     let (Some(model_path), Some(data_path)) = (args.get("model"), args.get("data")) else {
         usage_exit(USAGE, "--model and --data are required");
     };
-    let model = load_model(model_path).unwrap_or_else(|e| {
+    let model = load_model(&FsHandle::default(), Path::new(model_path)).unwrap_or_else(|e| {
         eprintln!("{model_path}: {e}");
         std::process::exit(1);
     });

@@ -1,12 +1,16 @@
 //! Dev probe: how far is the analytic M/M/1 baseline from simulator labels
 //! under different traffic processes? (No training involved.)
 
-use routenet_bench::summary_row;
+use routenet_bench::{summary_row, Args};
 use routenet_core::prelude::*;
 use routenet_dataset::gen::{generate_dataset, GenConfig, TopologySpec};
 use routenet_simnet::sim::{ArrivalProcess, SizeDistribution};
 
+/// No flags: any argument, `--help` included, is a usage error.
+const USAGE: &str = "probe";
+
 fn main() {
+    Args::from_env(USAGE);
     let mm1 = Mm1Baseline::default();
     let configs: Vec<(&str, ArrivalProcess, SizeDistribution)> = vec![
         (

@@ -27,13 +27,14 @@
 //! the workload below the daemon's shed threshold.
 
 use routenet_bench::{usage_exit, Args};
-use routenet_core::checkpoint::MAGIC;
 use routenet_core::prelude::*;
 use routenet_dataset::io::load_jsonl;
-use routenet_serve::{Request, Response};
+use routenet_faults::FsHandle;
+use routenet_serve::{load_model, Request, Response};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::time::Instant;
 
 /// The expanded query corpus: dataset scenarios cycled `repeat` times.
@@ -136,24 +137,15 @@ fn main() {
         usage_exit(USAGE, "--data and --out are required");
     };
     let repeat = args.get_or("repeat", 1usize).max(1);
+    let concurrency = args.get_or("concurrency", 4usize).max(1);
+    let window = args.get_or("window", 4usize);
     let queries = corpus(data_path, repeat);
 
     if args.get("offline").is_some() {
         let Some(model_path) = args.get("model") else {
             usage_exit(USAGE, "--offline needs --model");
         };
-        let text = std::fs::read_to_string(model_path).unwrap_or_else(|e| {
-            eprintln!("{model_path}: {e}");
-            std::process::exit(1);
-        });
-        let model = if text.starts_with(MAGIC) {
-            TrainState::load(model_path)
-                .map_err(|e| e.to_string())
-                .and_then(|s| s.into_model().map_err(|e| e.to_string()))
-        } else {
-            RouteNet::from_json(&text).map_err(|e| e.to_string())
-        }
-        .unwrap_or_else(|e| {
+        let model = load_model(&FsHandle::default(), Path::new(model_path)).unwrap_or_else(|e| {
             eprintln!("{model_path}: {e}");
             std::process::exit(1);
         });
@@ -182,8 +174,6 @@ fn main() {
     let Some(addr) = args.get("connect") else {
         usage_exit(USAGE, "pass --connect or --offline");
     };
-    let concurrency = args.get_or("concurrency", 4usize).max(1);
-    let window = args.get_or("window", 4usize);
     let n = queries.len() as u64;
     let t0 = Instant::now();
     let per_client: Vec<std::io::Result<Vec<(u64, String, f64)>>> = std::thread::scope(|scope| {

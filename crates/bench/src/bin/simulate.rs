@@ -32,13 +32,16 @@ fn main() {
     let args = Args::from_env(USAGE);
     let seed = args.get_or("seed", 1u64);
     let intensity = args.get_or("intensity", 0.7f64);
+    let nodes = args.get_or("nodes", 20usize);
+    let duration_s = args.get_or("duration", 120.0f64);
+    let warmup_s = args.get_or("warmup", 10.0f64);
     let topo_name = args.get("topology").unwrap_or("nsfnet");
     let spec = match topo_name {
         "nsfnet" => TopologySpec::Nsfnet,
         "geant2" => TopologySpec::Geant2,
         "gbn" => TopologySpec::Gbn,
         "synth" => TopologySpec::Synthetic {
-            n: args.get_or("nodes", 20usize),
+            n: nodes,
             topo_seed: seed,
         },
         other => usage_exit(USAGE, &format!("unknown --topology {other:?}")),
@@ -68,8 +71,8 @@ fn main() {
         &mut rng,
     );
     let cfg = SimConfig {
-        duration_s: args.get_or("duration", 120.0f64),
-        warmup_s: args.get_or("warmup", 10.0f64),
+        duration_s,
+        warmup_s,
         size_dist: SizeDistribution::Deterministic,
         seed,
         telemetry: tel.clone(),

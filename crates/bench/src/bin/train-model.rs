@@ -6,8 +6,8 @@
 //!     [--epochs 30] [--lr 2e-3] [--batch 8] [--t-iterations 4] [--dim 16]
 //! ```
 //!
-//! Pairs with `gen-dataset` (routenet-dataset) and `predict` for a complete
-//! file-based workflow without writing any Rust.
+//! Pairs with `gen-dataset` and `predict` for a complete file-based
+//! workflow without writing any Rust.
 
 use routenet_bench::{interrupt, usage_exit, Args};
 use routenet_core::prelude::*;
@@ -26,6 +26,29 @@ fn main() {
     };
     let lenient = args.get("lenient").is_some();
     let out = args.get("out").unwrap_or("model.json").to_string();
+    // Every number parses before the telemetry log is created, so a bad
+    // value exits 2 without writing a file.
+    let dim = args.get_or("dim", 16usize);
+    let model_cfg = RouteNetConfig {
+        link_state_dim: dim,
+        path_state_dim: dim,
+        readout_hidden: 2 * dim,
+        t_iterations: args.get_or("t-iterations", 4usize),
+        predict_jitter: true,
+        predict_drops: false,
+        seed: args.get_or("seed", 2019u64),
+    };
+    let mut cfg = TrainConfig {
+        epochs: args.get_or("epochs", 30usize),
+        batch_size: args.get_or("batch", 8usize),
+        lr: args.get_or("lr", 2e-3f64),
+        threads: args.get_or("threads", 0usize),
+        verbose: true,
+        checkpoint_path: args.get("checkpoint").map(str::to_string),
+        checkpoint_every: args.get_or("checkpoint-every", 1usize),
+        resume_from: args.get("resume-from").map(str::to_string),
+        ..TrainConfig::default()
+    };
     // Telemetry log rides next to the model artifact; `--no-telemetry` opts
     // out (e.g. when the output directory is read-only).
     let tel = if args.get("no-telemetry").is_some() {
@@ -33,6 +56,7 @@ fn main() {
     } else {
         Telemetry::to_file("train-model", &out, format!("{out}.telemetry.jsonl"))
     };
+    cfg.telemetry = tel.clone();
     let load = |path: &str| -> Vec<Sample> {
         if lenient {
             match load_jsonl_lenient(path) {
@@ -76,28 +100,7 @@ fn main() {
         val_set.len()
     );
 
-    let dim = args.get_or("dim", 16usize);
-    let mut model = RouteNet::new(RouteNetConfig {
-        link_state_dim: dim,
-        path_state_dim: dim,
-        readout_hidden: 2 * dim,
-        t_iterations: args.get_or("t-iterations", 4usize),
-        predict_jitter: true,
-        predict_drops: false,
-        seed: args.get_or("seed", 2019u64),
-    });
-    let cfg = TrainConfig {
-        epochs: args.get_or("epochs", 30usize),
-        batch_size: args.get_or("batch", 8usize),
-        lr: args.get_or("lr", 2e-3f64),
-        threads: args.get_or("threads", 0usize),
-        verbose: true,
-        checkpoint_path: args.get("checkpoint").map(str::to_string),
-        checkpoint_every: args.get_or("checkpoint-every", 1usize),
-        resume_from: args.get("resume-from").map(str::to_string),
-        telemetry: tel.clone(),
-        ..TrainConfig::default()
-    };
+    let mut model = RouteNet::new(model_cfg);
     // Ctrl-C checkpoints (when --checkpoint is set) and exits cleanly.
     let control = interrupt::ctrl_c_control();
     let report = train_with_control(&mut model, &train_set, &val_set, &cfg, &control)

@@ -3,45 +3,28 @@
 //! and (optionally) a required set of event kinds must be present.
 //!
 //! ```text
-//! validate-telemetry <log.jsonl> [--require RunStart,Epoch,RunEnd]
+//! validate-telemetry --log <log.jsonl> [--require RunStart,Epoch,RunEnd]
 //! ```
 //!
 //! Exits 0 and prints a one-line digest on success; exits 1 with a
 //! diagnostic on the first violation. Used by `scripts/check.sh` as the
 //! telemetry smoke gate.
 
+use routenet_bench::{usage_exit, Args};
 use routenet_obs::Record;
 use std::collections::BTreeMap;
 
+const USAGE: &str = "validate-telemetry --log <jsonl> [--require Kind1,Kind2]";
+
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut path: Option<&str> = None;
-    let mut require: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--require" => {
-                let Some(list) = argv.get(i + 1) else {
-                    eprintln!("--require needs a comma-separated kind list");
-                    std::process::exit(2);
-                };
-                require.extend(list.split(',').map(|s| s.trim().to_string()));
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
-            p => {
-                path = Some(p);
-                i += 1;
-            }
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("usage: validate-telemetry <log.jsonl> [--require Kind1,Kind2]");
-        std::process::exit(2);
+    let args = Args::from_env(USAGE);
+    let Some(path) = args.get("log") else {
+        usage_exit(USAGE, "--log is required");
     };
+    let require: Vec<&str> = args
+        .get("require")
+        .map(|list| list.split(',').map(str::trim).collect())
+        .unwrap_or_default();
 
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("{path}: cannot read: {e}");
@@ -78,7 +61,7 @@ fn main() {
         std::process::exit(1);
     }
     for k in &require {
-        if !kinds.contains_key(k) {
+        if !kinds.contains_key(*k) {
             eprintln!(
                 "{path}: missing required event kind {k} (present: {})",
                 kinds.keys().cloned().collect::<Vec<_>>().join(",")

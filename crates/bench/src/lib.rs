@@ -10,10 +10,14 @@
 //! | `ablation` | Error vs T iterations and state dims |
 //! | `varsize` | Error vs topology size on fresh 10..=50-node graphs |
 //! | `drops`  | Drop-probability head vs M/M/1/K blocking |
-//! | `train-model` / `predict` / `probe` | File-based model tooling and dev checks |
+//! | `gen-dataset` / `train-model` / `predict` / `simulate` | File-based dataset and model tooling |
+//! | `validate-telemetry` | Checks a `.telemetry.jsonl` log (`--log <jsonl>`) |
+//! | `routenet-serve` / `serve-loadgen` | The what-if daemon (`--model <path> --listen <addr>`) and its load generator / offline reference |
+//! | `probe` | Dev check of the M/M/1 baseline under other traffic processes |
 //!
 //! Each binary declares its flags in one usage line and parses them with
-//! [`Args`], which rejects any other flag. The training binaries take
+//! [`Args`], which rejects any other flag; `tests/cli.rs` pins that for
+//! every binary. The training binaries take
 //! `--scale <f>` (dataset-size multiplier), `--epochs <n>` and `--seed <n>`.
 
 #![warn(missing_docs)]

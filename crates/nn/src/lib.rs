@@ -1,7 +1,7 @@
 //! # routenet-nn
 //!
 //! A minimal, self-contained neural-network stack: dense `f64` tensors, a
-//! reverse-mode autodiff tape, GRU/dense layers, and SGD/Adam optimizers.
+//! reverse-mode autodiff tape, GRU/dense layers, and the Adam optimizer.
 //!
 //! The offline Rust ecosystem has no usable GNN framework, so this crate is
 //! the substrate on which `routenet-core` builds the RouteNet model. The op
@@ -50,7 +50,7 @@ pub mod tensor;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::layers::{Activation, Dense, GruCell, Mlp};
-    pub use crate::optim::{clip_global_norm, Adam, Sgd};
+    pub use crate::optim::{clip_global_norm, Adam};
     pub use crate::params::{GradAccumulator, ParamId, ParamStore, Session};
     pub use crate::plan::{IndexPlan, SegmentPlan};
     pub use crate::tape::{Gradients, GruParams, Tape, Var};
@@ -58,7 +58,7 @@ pub mod prelude {
 }
 
 pub use layers::{Activation, Dense, GruCell, Mlp};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use params::{GradAccumulator, ParamId, ParamStore, Session};
 pub use plan::{IndexPlan, SegmentPlan};
 pub use tape::{Gradients, GruParams, Tape, Var};

@@ -24,44 +24,6 @@ pub fn clip_global_norm(grads: &mut [(ParamId, Tensor)], max_norm: f64) -> f64 {
     total
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f64,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// New SGD optimizer for `store`.
-    pub fn new(store: &ParamStore, lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0 && (0.0..1.0).contains(&momentum));
-        Sgd {
-            lr,
-            momentum,
-            velocity: vec![None; store.len()],
-        }
-    }
-
-    /// Apply one update step.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
-        for (id, g) in grads {
-            let update = if self.momentum > 0.0 {
-                let v =
-                    self.velocity[id.0].get_or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
-                *v = v.map(|x| x * self.momentum);
-                v.add_scaled(g, 1.0);
-                v.clone()
-            } else {
-                g.clone()
-            };
-            store.get_mut(*id).add_scaled(&update, -self.lr);
-        }
-    }
-}
-
 /// Adam (Kingma & Ba, 2015) with bias correction.
 ///
 /// The full optimizer state — step count and both moment vectors — is
@@ -106,16 +68,6 @@ impl Adam {
     /// Number of update steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
-    }
-
-    /// First-moment estimates, one slot per parameter (None = untouched).
-    pub fn first_moments(&self) -> &[Option<Tensor>] {
-        &self.m
-    }
-
-    /// Second-moment estimates, one slot per parameter (None = untouched).
-    pub fn second_moments(&self) -> &[Option<Tensor>] {
-        &self.v
     }
 
     /// Copy `src`'s full state (hyperparameters, step count, both moment
@@ -201,22 +153,6 @@ mod tests {
         for (a, b) in store.get(w).data().iter().zip(target.data()) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let store = ParamStore::new();
-        let mut opt = Sgd::new(&store, 0.5, 0.0);
-        opt.velocity = vec![None; 8];
-        quadratic_loss_converges(move |s, g| opt.step(s, g));
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let store = ParamStore::new();
-        let mut opt = Sgd::new(&store, 0.2, 0.9);
-        opt.velocity = vec![None; 8];
-        quadratic_loss_converges(move |s, g| opt.step(s, g));
     }
 
     #[test]

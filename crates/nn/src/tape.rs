@@ -3,11 +3,15 @@
 //! A [`Tape`] records every operation eagerly (define-by-run); calling
 //! [`Tape::backward`] walks the tape in reverse accumulating gradients and
 //! keeps only the leaves'. The op set is exactly what RouteNet's message
-//! passing needs, including the structural ops that encode the graph:
-//! [`Tape::gather_rows`] (read link states along each path),
-//! [`Tape::scatter_add_rows`] (aggregate per-hop messages into per-link
-//! inboxes) and [`Tape::replace_rows_plan`] (update the active paths'
-//! states), plus one fused op, [`Tape::gru_seg`], for a whole GRU step.
+//! passing and its losses call, including the structural ops that encode
+//! the graph: [`Tape::gather_rows_plan`] (read link states along each
+//! path), [`Tape::scatter_add_rows_plan`] (aggregate per-hop messages into
+//! per-link inboxes) and [`Tape::replace_rows_plan`] (update the active
+//! paths' states), plus one fused op, [`Tape::gru_seg`], for a whole GRU
+//! step. Their unbatched twins ([`Tape::gather_rows`],
+//! [`Tape::scatter_add_rows`], [`Tape::mul_const`], [`Tape::mse`]) serve
+//! the reference `RouteNet::forward`, the FNN baseline, and the tests that
+//! pin the plan and segment ops against them.
 //!
 //! Every op's gradient is validated against central finite differences in
 //! this crate's test suite.
@@ -25,7 +29,7 @@
 //!
 //! # Segment ops
 //!
-//! The `seg_*` and `segment_*` ops operate on tensors whose rows are the
+//! The `seg_*` ops and [`Tape::gru_seg`] operate on tensors whose rows are the
 //! concatenation of several samples' row blocks (described by a
 //! [`SegmentPlan`]). Their forward values are bitwise identical to the
 //! unsegmented ops; what differs is the backward pass, which keeps
@@ -55,7 +59,6 @@ enum Op {
     Add(Var, Var),
     /// `a + broadcast(b)` where `b` is `1 x cols`.
     AddRow(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
     /// `alpha * a + beta` elementwise.
     Affine(Var, f64, f64),
@@ -64,7 +67,6 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
-    ConcatCols(Var, Var),
     /// `out[i, :] = a[idx[i], :]`.
     GatherRows(Var, Vec<usize>),
     /// `out[idx[i], :] += a[i, :]`, out has `out_rows` rows.
@@ -81,10 +83,6 @@ enum Op {
     /// Batched bias add; backward keeps per-segment bias partials separate
     /// (forward == AddRow bitwise).
     SegAddRow(Var, Var, SegmentPlan),
-    /// `out[s, :] = sum of a's rows in segment s` (ascending row order).
-    SegmentSum(Var, SegmentPlan),
-    /// `out[s, :] = mean of a's rows in segment s`.
-    SegmentMean(Var, SegmentPlan),
     /// Per-segment mean squared error: `out[s, 0] = mse over segment s`.
     SegMse(Var, Tensor, SegmentPlan),
     /// Fused segment-aware GRU step (see [`Tape::gru_seg`]): inputs `x` and
@@ -103,8 +101,6 @@ enum Op {
     MeanAll(Var),
     /// Mean squared error against a constant target.
     Mse(Var, Tensor),
-    /// Mean absolute error against a constant target.
-    Mae(Var, Tensor),
 }
 
 /// Tape handles of a GRU cell's nine parameters (see
@@ -459,19 +455,6 @@ impl Tape {
         self.push(Op::AddRow(a, b), v)
     }
 
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (r, c) = self.value(a).shape();
-        assert_eq!(self.value(b).shape(), (r, c), "sub shape mismatch");
-        let mut v = self.alloc_tensor(r, c);
-        let av = self.value(a);
-        let bv = self.value(b);
-        for ((o, &x), &y) in v.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
-            *o = x - y;
-        }
-        self.push(Op::Sub(a, b), v)
-    }
-
     /// Elementwise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let (r, c) = self.value(a).shape();
@@ -559,25 +542,6 @@ impl Tape {
             *o = x.max(0.0);
         }
         self.push(Op::Relu(a), v)
-    }
-
-    /// Horizontal concatenation `[a | b]`.
-    pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let (r, ac) = self.value(a).shape();
-        let (br, bc) = self.value(b).shape();
-        assert_eq!(r, br, "concat_cols row mismatch");
-        let mut v = self.alloc_tensor(r, ac + bc);
-        let av = self.value(a);
-        let bv = self.value(b);
-        for i in 0..r {
-            for j in 0..ac {
-                v.set(i, j, av.get(i, j));
-            }
-            for j in 0..bc {
-                v.set(i, ac + j, bv.get(i, j));
-            }
-        }
-        self.push(Op::ConcatCols(a, b), v)
     }
 
     /// Row gather: `out[i, :] = a[idx[i], :]`. Indices may repeat.
@@ -795,52 +759,6 @@ impl Tape {
         self.push(op, out)
     }
 
-    /// Segment sum: `out[s, :]` is the column-wise sum of `a`'s rows in
-    /// segment `s`, accumulated in ascending row order (the determinism
-    /// contract — see DESIGN.md). Empty segments yield zero rows.
-    pub fn segment_sum(&mut self, a: Var, seg: &SegmentPlan) -> Var {
-        let (ar, cols) = self.value(a).shape();
-        assert_eq!(seg.total(), ar, "segment_sum segment coverage mismatch");
-        let n_seg = seg.n_segments();
-        let mut v = self.alloc_tensor(n_seg, cols);
-        let av = self.value(a);
-        for s in 0..n_seg {
-            let (lo, hi) = seg.range(s);
-            for r in lo..hi {
-                for c in 0..cols {
-                    v.set(s, c, v.get(s, c) + av.get(r, c));
-                }
-            }
-        }
-        self.push(Op::SegmentSum(a, seg.clone()), v)
-    }
-
-    /// Segment mean: `out[s, :]` is the column-wise mean of `a`'s rows in
-    /// segment `s`. Panics on empty segments (a mean over zero rows is
-    /// undefined; pad or filter before calling).
-    pub fn segment_mean(&mut self, a: Var, seg: &SegmentPlan) -> Var {
-        let (ar, cols) = self.value(a).shape();
-        assert_eq!(seg.total(), ar, "segment_mean segment coverage mismatch");
-        let n_seg = seg.n_segments();
-        let mut v = self.alloc_tensor(n_seg, cols);
-        let av = self.value(a);
-        for s in 0..n_seg {
-            let (lo, hi) = seg.range(s);
-            assert!(hi > lo, "segment_mean requires non-empty segments");
-            let n = (hi - lo) as f64;
-            debug_assert!(n > 0.0);
-            for r in lo..hi {
-                for c in 0..cols {
-                    v.set(s, c, v.get(s, c) + av.get(r, c));
-                }
-            }
-            for c in 0..cols {
-                v.set(s, c, v.get(s, c) / n);
-            }
-        }
-        self.push(Op::SegmentMean(a, seg.clone()), v)
-    }
-
     /// Per-segment mean squared error: `out[s, 0]` is the MSE between
     /// `pred`'s and `target`'s rows in segment `s`, folded in flat
     /// row-major order — exactly the fold [`Tape::mse`] performs on one
@@ -912,28 +830,6 @@ impl Tape {
             / n;
         v.set(0, 0, loss);
         self.push(Op::Mse(pred, target.clone()), v)
-    }
-
-    /// Mean absolute error between `pred` and a constant `target` (`1 x 1`).
-    pub fn mae(&mut self, pred: Var, target: &Tensor) -> Var {
-        assert_eq!(
-            self.value(pred).shape(),
-            target.shape(),
-            "mae shape mismatch"
-        );
-        let mut v = self.alloc_tensor(1, 1);
-        let p = self.value(pred);
-        let n = p.len() as f64;
-        debug_assert!(n > 0.0, "mae on an empty tensor would be NaN");
-        let loss = p
-            .data()
-            .iter()
-            .zip(target.data())
-            .map(|(&a, &b)| (a - b).abs())
-            .sum::<f64>()
-            / n;
-        v.set(0, 0, loss);
-        self.push(Op::Mae(pred, target.clone()), v)
     }
 
     /// Reverse pass from `loss` (must be `1 x 1`). Returns the accumulated
@@ -1046,10 +942,6 @@ impl Tape {
                 add_to(grads, *a, g.clone());
                 add_to(grads, *b, col_sums(g, 0, g.rows()));
             }
-            Op::Sub(a, b) => {
-                add_to(grads, *a, g.clone());
-                add_to(grads, *b, g.map(|x| -x));
-            }
             Op::Mul(a, b) => {
                 let av = self.value(*a);
                 let bv = self.value(*b);
@@ -1077,14 +969,6 @@ impl Tape {
                     *a,
                     g.zip(x, |gx, xv| if xv > 0.0 { gx } else { 0.0 }),
                 );
-            }
-            Op::ConcatCols(a, b) => {
-                let ac = self.value(*a).cols();
-                let bc = self.value(*b).cols();
-                let ga = Tensor::from_fn(g.rows(), ac, |r, c| g.get(r, c));
-                let gb = Tensor::from_fn(g.rows(), bc, |r, c| g.get(r, ac + c));
-                add_to(grads, *a, ga);
-                add_to(grads, *b, gb);
             }
             Op::GatherRows(a, idx) => {
                 let rows = self.value(*a).rows();
@@ -1236,32 +1120,6 @@ impl Tape {
                     add_seg(seg, *b, s, n_seg, col_sums(g, lo, hi));
                 }
             }
-            Op::SegmentSum(a, plan) => {
-                let (rows, cols) = self.value(*a).shape();
-                let mut ga = Tensor::zeros(rows, cols);
-                for s in 0..plan.n_segments() {
-                    let (lo, hi) = plan.range(s);
-                    for r in lo..hi {
-                        ga.copy_row_from(r, g, s);
-                    }
-                }
-                add_to(grads, *a, ga);
-            }
-            Op::SegmentMean(a, plan) => {
-                let (rows, cols) = self.value(*a).shape();
-                let mut ga = Tensor::zeros(rows, cols);
-                for s in 0..plan.n_segments() {
-                    let (lo, hi) = plan.range(s);
-                    let n = (hi - lo) as f64;
-                    debug_assert!(n > 0.0, "segments are non-empty");
-                    for r in lo..hi {
-                        for c in 0..cols {
-                            ga.set(r, c, g.get(s, c) / n);
-                        }
-                    }
-                }
-                add_to(grads, *a, ga);
-            }
             Op::SegMse(p, target, plan) => {
                 let pv = self.value(*p);
                 let cols = pv.cols();
@@ -1299,14 +1157,6 @@ impl Tape {
                 debug_assert!(n > 0.0);
                 let s = g.get(0, 0);
                 let gp = pv.zip(target, |a, b| 2.0 * (a - b) * s / n);
-                add_to(grads, *p, gp);
-            }
-            Op::Mae(p, target) => {
-                let pv = self.value(*p);
-                let n = pv.len() as f64;
-                debug_assert!(n > 0.0);
-                let s = g.get(0, 0);
-                let gp = pv.zip(target, |a, b| (a - b).signum() * s / n);
                 add_to(grads, *p, gp);
             }
         }
@@ -1448,8 +1298,7 @@ mod tests {
             |tape, _| {
                 let (va, vb) = (Var(0), Var(1));
                 let s = tape.add(va, vb);
-                let d = tape.sub(s, vb);
-                let m = tape.mul(d, va);
+                let m = tape.mul(s, va);
                 let f = tape.affine(m, 0.5, -0.1);
                 tape.mean_all(f)
             },
@@ -1495,22 +1344,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_concat() {
-        let a = rand_t(2, 3, 8);
-        let b = rand_t(2, 2, 9);
-        grad_check(
-            |tape, _| {
-                let (va, vb) = (Var(0), Var(1));
-                let y = tape.concat_cols(va, vb);
-                let z = tape.sigmoid(y);
-                tape.sum_all(z)
-            },
-            &[a, b],
-            1e-6,
-        );
-    }
-
-    #[test]
     fn grad_gather_scatter() {
         let a = rand_t(4, 3, 10);
         grad_check(
@@ -1527,27 +1360,10 @@ mod tests {
     }
 
     #[test]
-    fn grad_losses() {
+    fn grad_mse() {
         let p = rand_t(3, 2, 11);
         let target = rand_t(3, 2, 12);
-        let t2 = target.clone();
-        grad_check(
-            move |tape, _| {
-                let vp = Var(0);
-                tape.mse(vp, &t2)
-            },
-            std::slice::from_ref(&p),
-            1e-6,
-        );
-        let t3 = target.clone();
-        grad_check(
-            move |tape, _| {
-                let vp = Var(0);
-                tape.mae(vp, &t3)
-            },
-            &[p],
-            1e-5,
-        );
+        grad_check(move |tape, _| tape.mse(Var(0), &target), &[p], 1e-6);
     }
 
     #[test]
@@ -1810,33 +1626,6 @@ mod tests {
         let grads = tape.backward(l);
         assert!(grads.get(unused).is_none());
         assert!(grads.get(a).is_some());
-    }
-
-    #[test]
-    fn grad_segment_sum_and_mean() {
-        let a = rand_t(5, 3, 30);
-        let seg = SegmentPlan::from_lens(&[2, 3]);
-        let s2 = seg.clone();
-        grad_check(
-            move |tape, _| {
-                let va = Var(0);
-                let y = tape.segment_sum(va, &s2);
-                let z = tape.tanh(y);
-                tape.sum_all(z)
-            },
-            std::slice::from_ref(&a),
-            1e-6,
-        );
-        let s3 = seg.clone();
-        grad_check(
-            move |tape, _| {
-                let va = Var(0);
-                let y = tape.segment_mean(va, &s3);
-                tape.mean_all(y)
-            },
-            &[a],
-            1e-6,
-        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Zero-dependency observability for the RouteNet suite: a process-wide
 //! metrics registry (monotonic counters, gauges, log-spaced histograms),
 //! lightweight span timers, and two sinks — a human-readable end-of-run
-//! summary table and an append-only JSONL event log written with the same
-//! atomic-write discipline as the training checkpoints.
+//! summary table and a JSONL event log written with the same atomic-write
+//! discipline as the training checkpoints.
 //!
 //! ## Design
 //!
@@ -20,10 +20,11 @@
 //! per epoch; the disabled path costs one branch per run. This keeps the
 //! `hot-loop-alloc` analyzer rule (RN103) green.
 //!
-//! **Durability**: the JSONL sink rewrites the full event log through the
-//! canonical atomic writer in `routenet-faults` (temp-file + fsync +
-//! rename) on every emitted event (events are epoch- or run-scale, so this
-//! is a handful of small writes per run). Readers never observe a torn
+//! **Durability and cost**: the JSONL sink is not append-only. Every
+//! emitted event rewrites the full event log through the canonical atomic
+//! writer in `routenet-faults` (temp-file + fsync + rename), so an emit
+//! costs O(events so far) and a run of n events writes O(n²) bytes. Events
+//! are therefore kept epoch- or run-scale. Readers never observe a torn
 //! line; the log only ever grows. Writes go through the injectable IO seam
 //! with transient-error retry by default; see [`Telemetry::to_file_with_fs`].
 //!

@@ -53,6 +53,19 @@ impl From<CheckpointError> for ServeError {
     }
 }
 
+/// Load a model artifact through the IO seam: either a `TrainState`
+/// checkpoint (detected by its `ROUTENET-CKPT` header; yields the best
+/// parameters) or a `RouteNet::to_json` export.
+#[must_use = "dropping the result loses both the model and the load failure"]
+pub fn load_model(fs: &FsHandle, path: &Path) -> Result<RouteNet, ServeError> {
+    let text = fs.fs().read_to_string(path)?;
+    if text.starts_with(MAGIC) {
+        Ok(TrainState::load_with(fs.fs(), path)?.into_model()?)
+    } else {
+        RouteNet::from_json(&text).map_err(|e| ServeError::Model(e.to_string()))
+    }
+}
+
 /// Model + plan cache + arena tape: the single-threaded prediction core.
 pub struct Engine {
     model: RouteNet,
@@ -61,19 +74,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Load a model artifact through the IO seam — either a `TrainState`
-    /// checkpoint (detected by its `ROUTENET-CKPT` header; yields the best
-    /// parameters) or a `RouteNet::to_json` export — and allot a plan cache
-    /// of `cache_cap` topologies.
+    /// [`load_model`] with a plan cache of `cache_cap` topologies.
     #[must_use = "dropping the result loses both the engine and the load failure"]
     pub fn load(fs: &FsHandle, path: &Path, cache_cap: usize) -> Result<Engine, ServeError> {
-        let text = fs.fs().read_to_string(path)?;
-        let model = if text.starts_with(MAGIC) {
-            TrainState::load_with(fs.fs(), path)?.into_model()?
-        } else {
-            RouteNet::from_json(&text).map_err(|e| ServeError::Model(e.to_string()))?
-        };
-        Ok(Engine::from_model(model, cache_cap))
+        Ok(Engine::from_model(load_model(fs, path)?, cache_cap))
     }
 
     /// Wrap an already-loaded model (tests, embedded use).

@@ -12,7 +12,7 @@
 //! Design highlights (see DESIGN.md "Serving"):
 //!
 //! - **Wire format** ([`wire`]): newline-delimited JSON over a raw TCP
-//!   socket or stdin — hand-rolled framing, zero new dependencies, the same
+//!   socket — hand-rolled framing, zero new dependencies, the same
 //!   `Scenario` JSON the dataset files use.
 //! - **Plan cache** ([`cache`]): per-topology [`PathTensors`] indexings keyed
 //!   by routing equality, FIFO-evicted, deterministic (no hash-order
@@ -29,10 +29,13 @@
 //! - **Overload**: when the bounded queue is full the daemon sheds the
 //!   query with a typed error response instead of queueing unboundedly;
 //!   shedding is observable via the `QueryShed` telemetry event.
-//! - **Faults**: the checkpoint loads through the `routenet-faults` IO seam
-//!   ([`FsHandle`]), so injected IO faults surface as typed
-//!   [`ServeError`]s, never panics; malformed or hostile socket input is
-//!   answered with per-query error responses.
+//! - **Faults**: [`load_model`] reads the model artifact through the
+//!   `routenet-faults` IO seam ([`FsHandle`]), so injected IO faults
+//!   surface as typed [`ServeError`]s, never panics; malformed or hostile
+//!   socket input is answered with per-query error responses.
+//!
+//! This crate is a library; the `routenet-serve` binary that runs the
+//! daemon lives in `routenet-bench`.
 //!
 //! [`PathTensors`]: routenet_core::indexing::PathTensors
 //! [`FsHandle`]: routenet_faults::FsHandle
@@ -43,6 +46,6 @@ pub mod server;
 pub mod wire;
 
 pub use cache::PlanCache;
-pub use engine::{Engine, ServeError};
+pub use engine::{load_model, Engine, ServeError};
 pub use server::{Server, ServerConfig};
 pub use wire::{Request, Response};

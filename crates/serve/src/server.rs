@@ -1,12 +1,12 @@
-//! The daemon core: bounded query queue, micro-batcher thread, and the
-//! TCP / stdin front-ends.
+//! The daemon core: bounded query queue, micro-batcher thread, and the TCP
+//! front-end.
 //!
 //! Threading model (no locks on the prediction path beyond the queue):
 //!
 //! ```text
 //! conn thread 1 ──┐                     ┌── writer thread 1 (mpsc → socket)
-//! conn thread 2 ──┤→ bounded queue ─→ batcher thread (owns Engine) ─→ txs
-//! stdin reader  ──┘   (Mutex+Condvar)   one predict_batch per micro-batch
+//! conn thread 2 ──┴→ bounded queue ─→ batcher thread (owns Engine) ─→ txs
+//!                     (Mutex+Condvar)   one predict_batch per micro-batch
 //! ```
 //!
 //! Connection threads parse, finalize, and validate queries, then enqueue
@@ -15,8 +15,9 @@
 //! answers them with ONE batched forward pass. When the queue is full the
 //! query is *shed* — answered immediately with a typed error — rather than
 //! queued unboundedly; the transition into an overload episode emits one
-//! `QueryShed` event (per-shed emission would make the O(log) file sink
-//! quadratic exactly when the daemon is busiest).
+//! `QueryShed` event. Per-shed emission would be quadratic exactly when the
+//! daemon is busiest: the file sink rewrites its whole log on every emit, so
+//! each event costs O(events so far).
 
 use crate::engine::Engine;
 use crate::wire::{Request, Response};
@@ -425,46 +426,6 @@ fn serve_connection(stream: std::net::TcpStream, handle: &ServerHandle) -> std::
     Ok(())
 }
 
-/// Stdin/stdout mode: the same daemon over process pipes, for environments
-/// without a network namespace. Reads queries from `input` until EOF or a
-/// shutdown command; responses go to `output` in completion order.
-#[must_use = "ignoring the result hides input-stream failures"]
-pub fn serve_pipe(
-    input: impl BufRead,
-    mut output: impl Write + Send + 'static,
-    server: &Server,
-) -> std::io::Result<()> {
-    let (tx, rx) = mpsc::channel::<String>();
-    let writer = thread::spawn(move || {
-        while let Ok(line) = rx.recv() {
-            if writeln!(output, "{line}").is_err() {
-                break;
-            }
-            if output.flush().is_err() {
-                break;
-            }
-        }
-    });
-    let handle = server.handle();
-    for line in input.lines() {
-        let line = line?;
-        if handle.submit_line(&line, &tx) == Submission::Shutdown {
-            break;
-        }
-    }
-    // Wait for every admitted query's response before closing the pipe:
-    // stopping makes the batcher drain the queue and exit, and dropping tx
-    // afterwards ends the writer once the drained responses are written.
-    server.stop();
-    drop(tx);
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "writer thread cannot panic; join failure would only repeat a closed pipe"
-    )]
-    let _ = writer.join();
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,40 +607,5 @@ mod tests {
             "one uninterrupted overload episode emits exactly one event"
         );
         assert!(records.iter().any(|r| r.event.kind() == "Serve"));
-    }
-
-    #[test]
-    fn pipe_mode_serves_and_drains_on_eof() {
-        let server = start_server(ServerConfig::default());
-        let sc = scenario(70.0);
-        let mut input = String::new();
-        for id in 0..4u64 {
-            input.push_str(&query_line(id, &sc));
-            input.push('\n');
-        }
-        let buf = Arc::new(Mutex::new(Vec::<u8>::new()));
-        struct SharedWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedWriter {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        serve_pipe(input.as_bytes(), SharedWriter(Arc::clone(&buf)), &server).unwrap();
-        server.finish().unwrap();
-        let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let mut ids: Vec<u64> = out
-            .lines()
-            .map(|l| serde_json::from_str::<Response>(l).unwrap())
-            .map(|r| {
-                assert!(r.predictions.is_some());
-                r.id
-            })
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 }

@@ -132,19 +132,19 @@ cargo test -q --test chaos
 step "telemetry smoke test"
 TELDIR="$(mktemp -d)"
 trap 'rm -rf "$TELDIR"' EXIT
-cargo run -q --release -p routenet-dataset --bin gen-dataset -- \
+cargo run -q --release -p routenet-bench --bin gen-dataset -- \
     --samples 4 --seed 7 --duration 60 --out "$TELDIR/train.jsonl" >/dev/null
 cargo run -q --release -p routenet-bench --bin train-model -- \
     --train "$TELDIR/train.jsonl" --lenient --epochs 2 \
     --out "$TELDIR/model.json" >/dev/null
-cargo run -q --release -p routenet-obs --bin validate-telemetry -- \
-    "$TELDIR/model.json.telemetry.jsonl" \
+cargo run -q --release -p routenet-bench --bin validate-telemetry -- \
+    --log "$TELDIR/model.json.telemetry.jsonl" \
     --require RunStart,DatasetLoad,Epoch,RunEnd
 cargo run -q --release -p routenet-bench --bin simulate -- \
     --topology nsfnet --duration 40 --warmup 4 --seed 7 \
     --out "$TELDIR/sim.telemetry.jsonl" >/dev/null
-cargo run -q --release -p routenet-obs --bin validate-telemetry -- \
-    "$TELDIR/sim.telemetry.jsonl" \
+cargo run -q --release -p routenet-bench --bin validate-telemetry -- \
+    --log "$TELDIR/sim.telemetry.jsonl" \
     --require RunStart,SimRun,RunEnd
 # Disabled telemetry must stay within noise of an enabled handle (the
 # wall-clock comparison is #[ignore]d from the default suite; see the test).
@@ -181,7 +181,7 @@ done
 # same wire encoder (see DESIGN.md "Serving" — micro-batch composition must
 # never perturb answers). The daemon's telemetry must carry the Serve digest.
 step "serve smoke test (daemon vs offline byte-equivalence)"
-cargo run -q --release -p routenet-serve --bin routenet-serve -- \
+cargo run -q --release -p routenet-bench --bin routenet-serve -- \
     --model "$TELDIR/model.json" --listen 127.0.0.1:0 \
     --port-file "$TELDIR/serve.port" --max-batch 16 --batch-window-us 2000 \
     --telemetry "$TELDIR/serve.telemetry.jsonl" 2>"$TELDIR/serve.log" &
@@ -202,8 +202,8 @@ cargo run -q --release -p routenet-bench --bin serve-loadgen -- \
     --offline --model "$TELDIR/model.json" --data "$TELDIR/train.jsonl" \
     --repeat 6 --out "$TELDIR/offline.jsonl"
 cmp "$TELDIR/served.jsonl" "$TELDIR/offline.jsonl"
-cargo run -q --release -p routenet-obs --bin validate-telemetry -- \
-    "$TELDIR/serve.telemetry.jsonl" \
+cargo run -q --release -p routenet-bench --bin validate-telemetry -- \
+    --log "$TELDIR/serve.telemetry.jsonl" \
     --require RunStart,Serve,RunEnd
 
 step "all checks passed"
