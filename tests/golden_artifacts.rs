@@ -4,15 +4,19 @@
 //! or prediction kernels that perturbs a single bit of a weight or an answer
 //! fails here, so execution-path changes are checked byte for byte.
 //!
-//! The constants are CRC-32s (`routenet_core::checkpoint::crc32`) of
-//! `RouteNet::to_json()` and of the JSON-serialized `predict_batch` answers
-//! on the held-out samples. They are never updated to follow a code change:
-//! a change that moves them changes what the model computes.
+//! The constants are CRC-32s (`routenet_core::checkpoint::crc32`) of the
+//! dataset's JSON lines, of `RouteNet::to_json()` and of the JSON-serialized
+//! `predict_batch` answers on the held-out samples. They are never updated to
+//! follow a code change: a change that moves them changes what the simulator
+//! labels or what the model computes.
 
 use routenet_core::checkpoint::crc32;
 use routenet_core::prelude::*;
 use routenet_dataset::gen::{generate_dataset_with_threads, GenConfig, TopologySpec};
 
+/// CRC-32 of the training data as `save_jsonl` writes it (one JSON line per
+/// sample), so a simulator change that moves a single label bit fails here.
+const DATASET_CRC: u32 = 0xe2e5_5cfe;
 /// CRC-32 of the trained model's JSON serialization.
 const MODEL_CRC: u32 = 0x69f1_eaae;
 /// CRC-32 of the JSON-serialized held-out `predict_batch` answers.
@@ -64,6 +68,20 @@ fn artifacts(data: &[Sample], threads: usize) -> (u32, u32) {
         crc32(model.to_json().as_bytes()),
         crc32(answers_json.as_bytes()),
     )
+}
+
+#[test]
+fn dataset_lines_match_pinned_hash() {
+    let mut lines = String::new();
+    for sample in tiny_dataset(10, 33) {
+        lines.push_str(&serde_json::to_string(&sample).unwrap());
+        lines.push('\n');
+    }
+    let dataset_crc = crc32(lines.as_bytes());
+    assert_eq!(
+        dataset_crc, DATASET_CRC,
+        "dataset bytes changed: {dataset_crc:#010x}"
+    );
 }
 
 #[test]
