@@ -2035,7 +2035,7 @@ mod tests {
             Unit::Known(Dim::SECONDS)
         );
         assert_eq!(unit_from_name("jitter_s2", false), Unit::Known(Dim::S2));
-        assert_eq!(unit_from_name("offered_bps", false), Unit::Known(Dim::BPS));
+        assert_eq!(unit_from_name("demand_bps", false), Unit::Known(Dim::BPS));
         assert_eq!(unit_from_name("capacity", false), Unit::Known(Dim::BPS));
         assert_eq!(unit_from_name("capacity", true), Unit::Unknown);
         assert_eq!(unit_from_name("with_capacity", false), Unit::Unknown);
@@ -2049,7 +2049,7 @@ mod tests {
     #[test]
     fn rn401_mixed_add_and_compare() {
         let ds =
-            run("fn f(mean_delay_s: f64, offered_bps: f64) -> f64 { mean_delay_s + offered_bps }");
+            run("fn f(mean_delay_s: f64, demand_bps: f64) -> f64 { mean_delay_s + demand_bps }");
         assert_eq!(rules_of(&ds), ["unit-mismatch"]);
         let ds = run("fn f(a_s: f64, b_bps: f64) -> bool { a_s < b_bps }");
         assert_eq!(rules_of(&ds), ["unit-mismatch"]);

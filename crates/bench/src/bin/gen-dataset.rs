@@ -23,6 +23,8 @@ fn main() {
         "nsfnet" => TopologySpec::Nsfnet,
         "geant2" => TopologySpec::Geant2,
         "gbn" => TopologySpec::Gbn,
+        // The generator's preferential attachment needs a 3-node seed clique.
+        "synth" if synth_nodes < 3 => usage_exit(USAGE, "--synth-nodes must be >= 3"),
         "synth" => TopologySpec::Synthetic {
             n: synth_nodes,
             topo_seed: routenet_dataset::split::SYNTH50_TOPOLOGY_SEED,
@@ -42,8 +44,18 @@ fn main() {
     }
     cfg.intensity_min = args.get_or("intensity-min", cfg.intensity_min);
     cfg.intensity_max = args.get_or("intensity-max", cfg.intensity_max);
+    let (lo, hi) = (cfg.intensity_min, cfg.intensity_max);
+    if !(lo > 0.0 && lo <= hi && hi.is_finite()) {
+        usage_exit(
+            USAGE,
+            "intensities must be finite with 0 < --intensity-min <= --intensity-max",
+        );
+    }
     // The warmup is a tenth of the run, as in `GenConfig`'s default.
     let duration: f64 = args.get_or("duration", cfg.sim.duration_s);
+    if !(duration.is_finite() && duration > 0.0) {
+        usage_exit(USAGE, "--duration must be finite and positive");
+    }
     cfg.sim.duration_s = duration;
     cfg.sim.warmup_s = duration / 10.0;
 

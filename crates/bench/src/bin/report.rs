@@ -37,15 +37,14 @@ fn write(path: &Path, content: &str) {
     eprintln!("# wrote {}", path.display());
 }
 
-const USAGE: &str = "report [--scale 1.0] [--epochs 40] [--seed 1] [--out results] \
-                     [--checkpoint-every 1] [--resume] [--no-telemetry]";
+const USAGE: &str =
+    "report [--scale 1.0] [--epochs 40] [--seed 1] [--out results] [--resume] [--no-telemetry]";
 
 fn main() {
     let args = Args::from_env(USAGE);
     let scale = args.get_or("scale", 1.0f64);
     let seed = args.get_or("seed", 1u64);
     let epochs = args.get_or("epochs", 40usize);
-    let checkpoint_every = args.get_or("checkpoint-every", 1usize);
     let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));
     std::fs::create_dir_all(&out_dir).expect("create output dir");
 
@@ -61,7 +60,6 @@ fn main() {
         epochs,
         verbose: true,
         checkpoint_path: Some(ckpt_path.to_string_lossy().into_owned()),
-        checkpoint_every,
         resume_from: args
             .get("resume")
             .map(|_| ckpt_path.to_string_lossy().into_owned()),

@@ -38,6 +38,14 @@ fn main() {
         batch_window: Duration::from_micros(args.get_or("batch-window-us", 1000)),
     };
     let cache_cap = args.get_or("cache-cap", 8);
+    // A zero would stall the batcher, shed every query or leave the plan
+    // cache no slot, so each is a usage error before the model loads.
+    if cfg.queue_cap == 0 || cfg.max_batch == 0 || cache_cap == 0 {
+        usage_exit(
+            USAGE,
+            "--queue-cap, --max-batch and --cache-cap must be >= 1",
+        );
+    }
 
     let engine = Engine::load(&FsHandle::default(), Path::new(model_path), cache_cap)
         .unwrap_or_else(|e| {

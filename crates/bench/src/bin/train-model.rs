@@ -16,8 +16,8 @@ use routenet_obs::Telemetry;
 
 const USAGE: &str = "train-model --train <jsonl> [--val <jsonl>] [--out model.json] [--lenient] \
                      [--epochs 30] [--lr 2e-3] [--batch 8] [--threads 0] [--t-iterations 4] \
-                     [--dim 16] [--seed 2019] [--checkpoint <ckpt>] [--checkpoint-every 1] \
-                     [--resume-from <ckpt>] [--no-telemetry]";
+                     [--dim 16] [--seed 2019] [--checkpoint <ckpt>] [--resume-from <ckpt>] \
+                     [--no-telemetry]";
 
 fn main() {
     let args = Args::from_env(USAGE);
@@ -45,7 +45,6 @@ fn main() {
         threads: args.get_or("threads", 0usize),
         verbose: true,
         checkpoint_path: args.get("checkpoint").map(str::to_string),
-        checkpoint_every: args.get_or("checkpoint-every", 1usize),
         resume_from: args.get("resume-from").map(str::to_string),
         ..TrainConfig::default()
     };

@@ -65,7 +65,7 @@ const BINS: &[Bin] = &[
         name: "report",
         exe: env!("CARGO_BIN_EXE_report"),
         required: &[],
-        numeric: &["scale", "epochs", "seed", "checkpoint-every"],
+        numeric: &["scale", "epochs", "seed"],
     },
     Bin {
         name: "routenet-serve",
@@ -97,7 +97,6 @@ const BINS: &[Bin] = &[
             "t-iterations",
             "dim",
             "seed",
-            "checkpoint-every",
         ],
     },
     Bin {
@@ -177,5 +176,36 @@ fn every_binary_rejects_an_unparseable_number() {
         for key in bin.numeric {
             assert_rejected(bin, key, &[&format!("--{key}"), "not-a-number"]);
         }
+    }
+}
+
+/// Flags that parse but name a value the run cannot use: each must be
+/// rejected like an unparseable one, before a model loads or a sample is
+/// generated, instead of panicking or spinning in a worker.
+const OUT_OF_RANGE: &[(&str, &[&str])] = &[
+    ("routenet-serve", &["--max-batch", "0"]),
+    ("routenet-serve", &["--queue-cap", "0"]),
+    ("routenet-serve", &["--cache-cap", "0"]),
+    (
+        "gen-dataset",
+        &["--intensity-min", "0.9", "--intensity-max", "0.1"],
+    ),
+    ("gen-dataset", &["--intensity-min", "0"]),
+    ("gen-dataset", &["--intensity-min", "NaN"]),
+    ("gen-dataset", &["--intensity-max", "inf"]),
+    ("gen-dataset", &["--duration", "0"]),
+    ("gen-dataset", &["--duration", "-5"]),
+    ("gen-dataset", &["--duration", "NaN"]),
+    (
+        "gen-dataset",
+        &["--topology", "synth", "--synth-nodes", "2"],
+    ),
+];
+
+#[test]
+fn out_of_range_values_are_rejected() {
+    for (i, (name, extra)) in OUT_OF_RANGE.iter().enumerate() {
+        let bin = BINS.iter().find(|b| b.name == *name).unwrap();
+        assert_rejected(bin, &format!("range{i}"), extra);
     }
 }

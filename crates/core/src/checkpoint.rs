@@ -15,7 +15,7 @@
 //!   to continue bit-identically — parameters, full Adam state (step count
 //!   and both moment vectors), the fitted normalizer, the shuffle RNG
 //!   state, the loss curve, the best-validation snapshot, and the
-//!   patience/recovery trackers.
+//!   divergence-recovery trackers.
 //!
 //! The dataset writer (`routenet-dataset`) reuses [`atomic_write`] so *all*
 //! persistence in the workspace goes through the same rename-based path.
@@ -274,14 +274,10 @@ pub struct TrainState {
     pub best_epoch: usize,
     /// Bits of the best selection loss (`f64::to_bits`; `+inf` initially).
     best_loss_bits: u64,
-    /// Parameters of the best epoch (kept when `keep_best` is set).
+    /// Parameters of the best epoch (`None` before any epoch is accepted).
     pub best_params: Option<ParamStore>,
     /// Divergence-recovery events so far.
     pub recoveries: Vec<RecoveryEvent>,
-    /// Bits of the patience tracker's best significant loss.
-    patience_best_bits: u64,
-    /// Epoch of the last significant improvement (patience tracking).
-    pub last_significant: usize,
     /// Rollbacks consumed from the divergence retry budget.
     pub rollbacks: usize,
 }
@@ -310,8 +306,6 @@ impl TrainState {
             best_loss_bits: f64::INFINITY.to_bits(),
             best_params: None,
             recoveries: Vec::new(),
-            patience_best_bits: f64::INFINITY.to_bits(),
-            last_significant: 0,
             rollbacks: 0,
         }
     }
@@ -324,16 +318,6 @@ impl TrainState {
     /// Record a new best selection loss.
     pub fn set_best_loss(&mut self, loss: f64) {
         self.best_loss_bits = loss.to_bits();
-    }
-
-    /// Patience tracker's best significant loss (`+inf` initially).
-    pub fn patience_best(&self) -> f64 {
-        f64::from_bits(self.patience_best_bits)
-    }
-
-    /// Update the patience tracker's best significant loss.
-    pub fn set_patience_best(&mut self, loss: f64) {
-        self.patience_best_bits = loss.to_bits();
     }
 
     /// Atomically save to `path` inside a checksummed container.

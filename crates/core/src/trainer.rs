@@ -5,11 +5,10 @@
 //! learning-rate decay, and best-on-validation checkpointing — and wraps it
 //! in a durability/recovery layer:
 //!
-//! * **Atomic checkpoints** ([`TrainConfig::checkpoint_path`] /
-//!   [`TrainConfig::checkpoint_every`]): at epoch boundaries the complete
-//!   [`TrainState`] (parameters, Adam moments and step count, normalizer,
-//!   shuffle RNG state, loss curve, best snapshot, patience trackers) is
-//!   written through the checksummed atomic writer.
+//! * **Atomic checkpoints** ([`TrainConfig::checkpoint_path`]): after every
+//!   epoch the complete [`TrainState`] (parameters, Adam moments and step
+//!   count, normalizer, shuffle RNG state, loss curve, best snapshot,
+//!   recovery trackers) is written through the checksummed atomic writer.
 //! * **Deterministic resume** ([`TrainConfig::resume_from`]): a run
 //!   continued from a checkpoint produces bit-identical parameters and
 //!   loss curve to an uninterrupted run. Each epoch's shuffle is derived
@@ -67,11 +66,6 @@ pub struct TrainConfig {
     pub drop_weight: f64,
     /// Regress on log-space targets (aligns MSE with relative error).
     pub log_targets: bool,
-    /// Early stopping: abort after this many epochs without a *significant*
-    /// improvement (relative decrease > 1e-6) of the selection loss
-    /// (validation loss, or training loss without a validation set).
-    /// `None` disables.
-    pub patience: Option<usize>,
     /// Worker threads for within-batch data parallelism: each worker packs
     /// its share of a minibatch into one [`BatchedScenario`] and runs a
     /// single forward/backward over it. Per-sample gradients are reduced in
@@ -80,16 +74,11 @@ pub struct TrainConfig {
     pub threads: usize,
     /// Minibatch shuffling seed.
     pub shuffle_seed: u64,
-    /// Restore the parameters of the best validation epoch at the end.
-    pub keep_best: bool,
     /// Print one line per epoch to stderr.
     pub verbose: bool,
     /// Write an atomic, checksummed [`TrainState`] checkpoint to this path
-    /// at epoch boundaries (and at run exit). `None` disables durability.
+    /// after every epoch (and at run exit). `None` disables durability.
     pub checkpoint_path: Option<String>,
-    /// Checkpoint every N completed epochs (only with `checkpoint_path`;
-    /// a final checkpoint is always written at run exit).
-    pub checkpoint_every: usize,
     /// Resume from a [`TrainState`] checkpoint instead of starting fresh.
     /// The checkpoint's model/trainer configuration must match (see
     /// [`TrainError::IncompatibleResume`]); `epochs` is read from `self`,
@@ -131,13 +120,10 @@ impl Default for TrainConfig {
             jitter_weight: 0.3,
             drop_weight: 4.0,
             log_targets: true,
-            patience: None,
             threads: 0,
             shuffle_seed: 7,
-            keep_best: true,
             verbose: false,
             checkpoint_path: None,
-            checkpoint_every: 1,
             resume_from: None,
             max_spike_factor: None,
             lr_backoff: 0.5,
@@ -575,7 +561,22 @@ fn validate_config(cfg: &TrainConfig) -> Result<(), TrainError> {
     };
     check(cfg.batch_size >= 1, "batch_size must be >= 1")?;
     check(cfg.epochs >= 1, "epochs must be >= 1")?;
-    check(cfg.lr > 0.0, "lr must be positive")?;
+    check(
+        cfg.lr.is_finite() && cfg.lr > 0.0,
+        "lr must be finite and positive",
+    )?;
+    check(
+        cfg.clip_norm.is_finite() && cfg.clip_norm > 0.0,
+        "clip_norm must be finite and positive",
+    )?;
+    check(
+        cfg.jitter_weight.is_finite() && cfg.jitter_weight >= 0.0,
+        "jitter_weight must be finite and non-negative",
+    )?;
+    check(
+        cfg.drop_weight.is_finite() && cfg.drop_weight >= 0.0,
+        "drop_weight must be finite and non-negative",
+    )?;
     check(
         cfg.lr_decay > 0.0 && cfg.lr_decay <= 1.0,
         "lr_decay must be in (0, 1]",
@@ -584,7 +585,6 @@ fn validate_config(cfg: &TrainConfig) -> Result<(), TrainError> {
         cfg.lr_backoff > 0.0 && cfg.lr_backoff < 1.0,
         "lr_backoff must be in (0, 1)",
     )?;
-    check(cfg.checkpoint_every >= 1, "checkpoint_every must be >= 1")?;
     if let Some(f) = cfg.max_spike_factor {
         check(
             f.is_finite() && f > 0.0,
@@ -633,9 +633,7 @@ fn check_resume_compat(saved: &TrainConfig, cur: &TrainConfig) -> Result<(), Tra
     require_eq!(jitter_weight);
     require_eq!(drop_weight);
     require_eq!(log_targets);
-    require_eq!(patience);
     require_eq!(shuffle_seed);
-    require_eq!(keep_best);
     require_eq!(max_spike_factor);
     require_eq!(lr_backoff);
     require_eq!(max_rollbacks);
@@ -675,11 +673,11 @@ fn install_state(state: &TrainState, model: &mut RouteNet, opt: &mut Adam, rng: 
 
 /// Train `model` on `train_set`, monitoring `val_set` (may be empty).
 ///
-/// Fits the normalizer on `train_set`, then runs minibatch Adam. With
-/// `keep_best`, the parameters of the best epoch (by validation loss, or by
-/// training loss when `val_set` is empty) are restored before returning.
+/// Fits the normalizer on `train_set`, then runs minibatch Adam. The
+/// parameters of the best epoch (by validation loss, or by training loss
+/// when `val_set` is empty) are restored before returning.
 /// See the module docs for checkpointing, resume, and divergence recovery.
-#[must_use = "dropping the report hides training divergence and early-stop diagnostics"]
+#[must_use = "dropping the report hides training divergence and interruption diagnostics"]
 pub fn train(
     model: &mut RouteNet,
     train_set: &[Sample],
@@ -690,7 +688,7 @@ pub fn train(
 }
 
 /// [`train`] with an explicit [`TrainControl`] for cooperative interruption.
-#[must_use = "dropping the report hides training divergence and early-stop diagnostics"]
+#[must_use = "dropping the report hides training divergence and interruption diagnostics"]
 pub fn train_with_control(
     model: &mut RouteNet,
     train_set: &[Sample],
@@ -913,13 +911,11 @@ pub fn train_with_control(
         if selection < state.best_loss() {
             state.set_best_loss(selection);
             state.best_epoch = epoch;
-            if cfg.keep_best {
-                // Reuse the previous snapshot's buffers: after the first
-                // improvement this copies in place instead of reallocating.
-                match &mut state.best_params {
-                    Some(best) => best.copy_from(model.store()),
-                    None => state.best_params = Some(model.store().clone()), // lint: allow(hot-loop-alloc, reason = "first best-snapshot only; every later improvement reuses these buffers via copy_from")
-                }
+            // Reuse the previous snapshot's buffers: after the first
+            // improvement this copies in place instead of reallocating.
+            match &mut state.best_params {
+                Some(best) => best.copy_from(model.store()),
+                None => state.best_params = Some(model.store().clone()), // lint: allow(hot-loop-alloc, reason = "first best-snapshot only; every later improvement reuses these buffers via copy_from")
             }
         }
         if cfg.verbose {
@@ -954,10 +950,6 @@ pub fn train_with_control(
             cfg.telemetry.observe_s("train.epoch_s", wall);
         }
         opt.lr *= cfg.lr_decay;
-        if selection < state.patience_best() * (1.0 - 1e-6) {
-            state.set_patience_best(selection);
-            state.last_significant = epoch;
-        }
         spike_ref = Some(train_loss);
 
         state.params.copy_from(model.store());
@@ -966,22 +958,8 @@ pub fn train_with_control(
         state.epoch_next = epoch + 1;
 
         if let Some(path) = &cfg.checkpoint_path {
-            if state.epoch_next.is_multiple_of(cfg.checkpoint_every) {
-                // lint: allow(hot-loop-lock, reason = "epoch-boundary checkpoint telemetry: one lock per checkpoint interval, not per-iteration work")
-                save_checkpoint(&state, path, &cfg.fs, &cfg.telemetry)?;
-            }
-        }
-
-        if let Some(patience) = cfg.patience {
-            if epoch > state.last_significant + patience {
-                if cfg.verbose {
-                    eprintln!(
-                        "early stop at epoch {epoch}: no significant improvement since epoch {}",
-                        state.last_significant
-                    );
-                }
-                break;
-            }
+            // lint: allow(hot-loop-lock, reason = "epoch-boundary checkpoint telemetry: one lock per epoch, not per-iteration work")
+            save_checkpoint(&state, path, &cfg.fs, &cfg.telemetry)?;
         }
         epoch += 1;
     }
@@ -1010,8 +988,8 @@ pub fn train_with_control(
             .counter_add("train.arena_reuse_misses", misses);
     }
 
-    // A final checkpoint at run exit (normal completion, early stop, or
-    // interruption) so the on-disk state always matches the returned run.
+    // A final checkpoint at run exit (normal completion or interruption) so
+    // the on-disk state always matches the returned run.
     if let Some(path) = &cfg.checkpoint_path {
         save_checkpoint(&state, path, &cfg.fs, &cfg.telemetry)?;
     }
@@ -1026,7 +1004,7 @@ pub fn train_with_control(
     // Restore the best parameters only for completed runs; an interrupted
     // run leaves the model at the checkpointed boundary so disk and memory
     // agree (the best snapshot itself is inside the checkpoint).
-    if !interrupted && cfg.keep_best {
+    if !interrupted {
         if let Some(best) = &state.best_params {
             *model.store_mut() = best.clone();
         }
@@ -1139,14 +1117,13 @@ mod tests {
     }
 
     #[test]
-    fn keep_best_restores_best_epoch() {
+    fn training_restores_best_epoch() {
         let data = mm1_dataset(8, 2);
         let mut model = tiny_model();
         let cfg = TrainConfig {
             epochs: 5,
             batch_size: 4,
             lr: 5e-3,
-            keep_best: true,
             ..TrainConfig::default()
         };
         let report = train(&mut model, &data[..6], &data[6..], &cfg).unwrap();
@@ -1182,61 +1159,28 @@ mod tests {
     #[test]
     fn parallel_training_is_bit_identical_to_sequential() {
         let data = mm1_dataset(10, 6);
+        // The returned model holds the best epoch's parameters; the
+        // checkpoint holds the last epoch's, so both are compared.
         let train_once = |threads: usize| {
+            let path = tmp_path(&format!("parallel-{threads}"));
             let mut model = tiny_model();
             let cfg = TrainConfig {
                 epochs: 3,
                 batch_size: 5,
                 threads,
-                keep_best: false,
+                checkpoint_path: Some(path.to_string_lossy().into_owned()),
                 ..TrainConfig::default()
             };
             let report = train(&mut model, &data[..8], &data[8..], &cfg).unwrap();
-            (model.store().clone(), report.epochs)
+            let last = TrainState::load(&path).unwrap().params;
+            std::fs::remove_file(&path).ok();
+            (model.store().clone(), last, report.epochs)
         };
-        let (seq_params, seq_curve) = train_once(1);
-        let (par_params, par_curve) = train_once(4);
-        assert_eq!(seq_params, par_params, "thread count changed the params");
+        let (seq_best, seq_last, seq_curve) = train_once(1);
+        let (par_best, par_last, par_curve) = train_once(4);
+        assert_eq!(seq_best, par_best, "thread count changed the best params");
+        assert_eq!(seq_last, par_last, "thread count changed the last params");
         assert_eq!(seq_curve, par_curve, "thread count changed the loss curve");
-    }
-
-    #[test]
-    fn early_stopping_halts_training() {
-        let data = mm1_dataset(6, 4);
-        let mut model = tiny_model();
-        // Zero learning rate: the loss can never improve after epoch 0, so
-        // patience must cut the run short.
-        let cfg = TrainConfig {
-            epochs: 50,
-            batch_size: 3,
-            lr: 1e-12,
-            patience: Some(2),
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &data[..4], &data[4..], &cfg).unwrap();
-        assert!(
-            report.epochs.len() <= 5,
-            "expected early stop, ran {} epochs",
-            report.epochs.len()
-        );
-        // best_epoch may still creep by float-noise improvements; the point
-        // is that none of them were significant enough to reset patience.
-        assert!(report.best_epoch < report.epochs.len());
-    }
-
-    #[test]
-    fn patience_none_runs_all_epochs() {
-        let data = mm1_dataset(4, 5);
-        let mut model = tiny_model();
-        let cfg = TrainConfig {
-            epochs: 4,
-            batch_size: 2,
-            lr: 1e-12,
-            patience: None,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &data, &[], &cfg).unwrap();
-        assert_eq!(report.epochs.len(), 4);
     }
 
     #[test]
@@ -1300,13 +1244,49 @@ mod tests {
     #[test]
     fn invalid_config_is_an_error() {
         let data = mm1_dataset(2, 8);
-        let mut model = tiny_model();
-        let cfg = TrainConfig {
-            batch_size: 0,
+        let base = TrainConfig {
+            epochs: 1,
             ..TrainConfig::default()
         };
-        let err = train(&mut model, &data, &[], &cfg).unwrap_err();
-        assert!(matches!(err, TrainError::InvalidConfig(_)), "got {err:?}");
+        let bad = [
+            TrainConfig {
+                batch_size: 0,
+                ..base.clone()
+            },
+            TrainConfig {
+                lr: f64::INFINITY,
+                ..base.clone()
+            },
+            TrainConfig {
+                clip_norm: 0.0,
+                ..base.clone()
+            },
+            TrainConfig {
+                clip_norm: f64::NAN,
+                ..base.clone()
+            },
+            TrainConfig {
+                jitter_weight: -1.0,
+                ..base.clone()
+            },
+            TrainConfig {
+                jitter_weight: f64::NAN,
+                ..base.clone()
+            },
+            TrainConfig {
+                drop_weight: -0.5,
+                ..base.clone()
+            },
+            TrainConfig {
+                drop_weight: f64::INFINITY,
+                ..base.clone()
+            },
+        ];
+        for cfg in &bad {
+            let mut model = tiny_model();
+            let err = train(&mut model, &data, &[], cfg).unwrap_err();
+            assert!(matches!(err, TrainError::InvalidConfig(_)), "got {err:?}");
+        }
     }
 
     #[test]
@@ -1322,7 +1302,6 @@ mod tests {
             lr: 1e160,
             lr_backoff: 1e-163,
             max_rollbacks: 3,
-            keep_best: false,
             ..TrainConfig::default()
         };
         let report = train(&mut model, &data[..4], &data[4..], &cfg).unwrap();
@@ -1412,8 +1391,8 @@ mod tests {
         assert_eq!(state.epoch_next, 2);
         assert_eq!(state.epochs.len(), report.epochs.len());
         assert_eq!(state.best_epoch, report.best_epoch);
-        // keep_best defaults on, so the snapshot carries the best params and
-        // into_model() reproduces the returned model exactly.
+        // The snapshot carries the best params, so into_model() reproduces
+        // the returned model exactly.
         let restored = state.into_model().unwrap();
         assert_eq!(restored.store(), model.store());
         std::fs::remove_file(&path).ok();
@@ -1550,7 +1529,6 @@ mod tests {
             lr: 1e160,
             lr_backoff: 1e-163,
             max_rollbacks: 3,
-            keep_best: false,
             checkpoint_path: Some(path.to_string_lossy().into_owned()),
             telemetry: tel.clone(),
             ..TrainConfig::default()

@@ -154,41 +154,6 @@ pub fn barabasi_albert<R: Rng>(n: usize, m: usize, rng: &mut R) -> Graph {
     es.into_graph(&format!("BA-{n}"), n)
 }
 
-/// Waxman random geometric graph on the unit square: nodes get uniform
-/// coordinates; edge probability `alpha * exp(-dist / (beta * sqrt(2)))`.
-/// Propagation delays are set proportional to Euclidean distance
-/// (`dist * delay_per_unit` seconds). Connectivity is repaired.
-pub fn waxman<R: Rng>(n: usize, alpha: f64, beta: f64, delay_per_unit: f64, rng: &mut R) -> Graph {
-    assert!(n >= 2);
-    let pos: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    let dist = |a: usize, b: usize| -> f64 {
-        let dx = pos[a].0 - pos[b].0;
-        let dy = pos[a].1 - pos[b].1;
-        (dx * dx + dy * dy).sqrt()
-    };
-    let l = std::f64::consts::SQRT_2;
-    let mut es = EdgeSet::default();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if rng.gen::<f64>() < alpha * (-dist(a, b) / (beta * l)).exp() {
-                es.insert(a, b);
-            }
-        }
-    }
-    repair_connectivity(&mut es, n, rng);
-    let mut g = es.into_graph(&format!("Waxman-{n}"), n);
-    let ids: Vec<_> = g
-        .links()
-        .map(|(id, l)| (id, dist(l.src.0, l.dst.0)))
-        .collect();
-    for (id, d) in ids {
-        g.adj_link_mut(id).prop_delay_s = d * delay_per_unit;
-    }
-    g
-}
-
 /// Bidirectional ring of `n` nodes.
 pub fn ring(n: usize) -> Graph {
     assert!(n >= 3, "ring needs >= 3 nodes");
@@ -285,18 +250,6 @@ mod tests {
         // Preferential attachment should create at least one hub well above
         // the average degree (~4).
         assert!(max_deg >= 8, "expected a hub, max degree was {max_deg}");
-    }
-
-    #[test]
-    fn waxman_connected_with_distance_delays() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = waxman(25, 0.6, 0.3, 1e-3, &mut rng);
-        assert!(is_strongly_connected(&g));
-        assert!(g
-            .links()
-            .all(|(_, l)| l.prop_delay_s >= 0.0 && l.prop_delay_s < 2e-3));
-        // at least one positive-length link
-        assert!(g.links().any(|(_, l)| l.prop_delay_s > 0.0));
     }
 
     #[test]

@@ -297,14 +297,6 @@ impl Graph {
         self.out_links[n.0].iter().map(move |l| self.links[l.0].dst)
     }
 
-    /// Set every link weight to its capacity's inverse (common IGP-style
-    /// metric: faster links are cheaper).
-    pub fn set_inverse_capacity_weights(&mut self) {
-        for l in &mut self.links {
-            l.weight = 1.0 / l.capacity_bps;
-        }
-    }
-
     /// Set every link weight to 1 (hop-count routing).
     pub fn set_unit_weights(&mut self) {
         for l in &mut self.links {
@@ -321,53 +313,6 @@ impl Graph {
             .enumerate()
             .map(|(i, l)| ((l.src.0, l.dst.0), LinkId(i)))
             .collect();
-    }
-
-    /// Total capacity leaving node `n`, in bits/s.
-    pub fn egress_capacity(&self, n: NodeId) -> f64 {
-        self.out_links[n.0]
-            .iter()
-            .map(|l| self.links[l.0].capacity_bps)
-            .sum()
-    }
-
-    /// Render as Graphviz DOT (duplex link pairs collapsed to one undirected
-    /// edge, labeled with capacity in kbps). Handy for eyeballing generated
-    /// topologies: `dot -Tsvg`.
-    #[expect(clippy::expect_used, reason = "fmt::Write to String never errors")]
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        writeln!(out, "graph \"{}\" {{", self.name).expect("write to String");
-        writeln!(out, "  layout=neato; node [shape=circle];").expect("write");
-        let mut done = std::collections::HashSet::new();
-        for (_, l) in self.links() {
-            let key = (l.src.0.min(l.dst.0), l.src.0.max(l.dst.0));
-            if self.link_between(l.dst, l.src).is_some() {
-                if !done.insert(key) {
-                    continue;
-                }
-                writeln!(
-                    out,
-                    "  n{} -- n{} [label=\"{:.0}k\"];",
-                    key.0,
-                    key.1,
-                    l.capacity_bps / 1e3
-                )
-                .expect("write");
-            } else {
-                writeln!(
-                    out,
-                    "  n{} -- n{} [dir=forward, label=\"{:.0}k\"];",
-                    l.src.0,
-                    l.dst.0,
-                    l.capacity_bps / 1e3
-                )
-                .expect("write");
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// All ordered node pairs `(s, d)` with `s != d`; the canonical iteration
@@ -495,9 +440,8 @@ mod tests {
     #[test]
     fn weight_helpers() {
         let mut g = triangle();
-        g.set_inverse_capacity_weights();
         let l = g.link_between(NodeId(0), NodeId(1)).unwrap();
-        assert!((g.link(l).unwrap().weight - 1e-6).abs() < 1e-15);
+        g.link_mut(l).unwrap().weight = 7.0;
         g.set_unit_weights();
         assert_eq!(g.link(l).unwrap().weight, 1.0);
     }
@@ -514,26 +458,5 @@ mod tests {
             g2.link_between(NodeId(2), NodeId(0)),
             g.link_between(NodeId(2), NodeId(0))
         );
-    }
-
-    #[test]
-    fn dot_export_collapses_duplex_pairs() {
-        let g = triangle();
-        let dot = g.to_dot();
-        assert!(dot.starts_with("graph \"tri\""));
-        // 3 duplex pairs -> 3 undirected edges
-        assert_eq!(dot.matches(" -- ").count(), 3);
-        assert!(dot.contains("n0 -- n1"));
-        assert!(!dot.contains("dir=forward"));
-        let mut g = Graph::new("oneway", 2);
-        g.add_link(NodeId(0), NodeId(1), 1e6, 0.0).unwrap();
-        assert!(g.to_dot().contains("dir=forward"));
-    }
-
-    #[test]
-    fn egress_capacity_sums_outgoing() {
-        let g = triangle();
-        // node 0 has links to 1 (1e6) and 2 (3e6)
-        assert!((g.egress_capacity(NodeId(0)) - 4e6).abs() < 1.0);
     }
 }

@@ -159,35 +159,6 @@ pub fn gbn() -> Graph {
     )
 }
 
-/// The 11-node, 14-edge Abilene (Internet2) backbone: Seattle, Sunnyvale,
-/// Los Angeles, Denver, Kansas City, Houston, Chicago, Indianapolis,
-/// Atlanta, Washington DC, New York — a small real topology handy for
-/// quick extension experiments.
-pub fn abilene() -> Graph {
-    // 0 SEA, 1 SNV, 2 LA, 3 DEN, 4 KSC, 5 HOU, 6 CHI, 7 IPLS, 8 ATL,
-    // 9 WDC, 10 NYC
-    from_edges(
-        "Abilene",
-        11,
-        &[
-            (0, 1),
-            (0, 3),
-            (1, 2),
-            (1, 3),
-            (2, 5),
-            (3, 4),
-            (4, 5),
-            (4, 7),
-            (5, 8),
-            (6, 7),
-            (6, 10),
-            (7, 8),
-            (8, 9),
-            (9, 10),
-        ],
-    )
-}
-
 /// How link capacities are assigned to a topology.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CapacityScheme {
@@ -285,15 +256,6 @@ mod tests {
         assert_eq!(g.n_nodes(), 17);
         assert_eq!(g.n_links(), 52); // 26 duplex pairs
         assert!(is_strongly_connected(&g));
-    }
-
-    #[test]
-    fn abilene_shape() {
-        let g = abilene();
-        assert_eq!(g.n_nodes(), 11);
-        assert_eq!(g.n_links(), 28); // 14 duplex pairs
-        assert!(is_strongly_connected(&g));
-        assert!(diameter_hops(&g).unwrap() <= 5);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! The entry point is [`Telemetry`], a cheaply cloneable handle that is
 //! either *disabled* (the default — every operation is a single `Option`
 //! check and returns immediately) or backed by a shared recorder. Configs
-//! ([`SimConfig`](https://docs.rs) / `TrainConfig`) carry the handle as a
+//! (simnet's `SimConfig`, core's `TrainConfig`) carry the handle as a
 //! `#[serde(skip)]` field so it never leaks into checkpoints or datasets.
 //!
 //! **Overhead budget**: instrumented hot loops (the simulator event loop,
@@ -228,16 +228,15 @@ pub struct Record {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram (the LogHistogram shape from simnet::stats, plus sum/max so the
-// summary table can report means without storing observations)
+// Histogram (log-spaced bins plus sum/max, so the summary table can report
+// means without storing observations)
 // ---------------------------------------------------------------------------
 
 /// Fixed-memory log-spaced histogram for positive values (durations).
 ///
-/// Same shape as the simulator's per-flow delay histogram: geometric bins
-/// between `lo` and `hi`, edge-clamped records, log-space quantile
-/// interpolation. Additionally tracks the exact sum and max so summary
-/// means are not quantized by the binning.
+/// Geometric bins between `lo` and `hi`, edge-clamped records, log-space
+/// quantile interpolation. Additionally tracks the exact sum and max so
+/// summary means are not quantized by the binning.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     lo: f64,

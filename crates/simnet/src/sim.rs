@@ -22,7 +22,7 @@
 // `.get()`.
 #![deny(clippy::indexing_slicing)]
 
-use crate::stats::{DelayAccumulator, FlowStats, LogHistogram, SimResult};
+use crate::stats::{DelayAccumulator, FlowStats, SimResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use routenet_netgraph::{Graph, LinkId, NodeId, RoutingScheme, TrafficMatrix};
@@ -210,13 +210,11 @@ struct Flow {
     src: NodeId,
     dst: NodeId,
     rate_pps: f64,
-    offered_bps: f64,
     path: Vec<LinkId>,
     /// ON/OFF process state: end of the current period (ON if `in_on`).
     in_on: bool,
     period_end: f64,
     acc: DelayAccumulator,
-    hist: LogHistogram,
     dropped: u64,
 }
 
@@ -269,13 +267,11 @@ pub fn simulate(
                 src: s,
                 dst: d,
                 rate_pps: demand / cfg.mean_pkt_size_bits,
-                offered_bps: demand,
                 // lint: allow(hot-loop-alloc, reason = "one owned path per flow at setup; the event loop itself never allocates")
                 path: routing.path(s, d).to_vec(),
                 in_on: true,
                 period_end: 0.0,
                 acc: DelayAccumulator::new(),
-                hist: LogHistogram::default(),
                 dropped: 0,
             });
         }
@@ -411,11 +407,7 @@ pub fn simulate(
                 if hop as usize == f.path.len() {
                     // Delivered to destination.
                     if measured {
-                        let delay = now - gen_time;
-                        f.acc.record(delay);
-                        if delay > 0.0 {
-                            f.hist.record(delay);
-                        }
+                        f.acc.record(now - gen_time);
                     }
                     continue;
                 }
@@ -485,28 +477,23 @@ pub fn simulate(
         }
     }
 
-    let measured_duration_s = (cfg.duration_s - cfg.warmup_s).max(0.0);
+    let window_s = (cfg.duration_s - cfg.warmup_s).max(0.0);
     let flow_stats: Vec<FlowStats> = flows
         .into_iter()
         .map(|f| FlowStats {
             src: f.src,
             dst: f.dst,
-            offered_bps: f.offered_bps,
             delivered: f.acc.count(),
             dropped: f.dropped,
             mean_delay_s: f.acc.mean().unwrap_or(0.0),
             jitter_s2: f.acc.variance().unwrap_or(0.0),
-            min_delay_s: f.acc.min().unwrap_or(0.0),
-            max_delay_s: f.acc.max().unwrap_or(0.0),
-            p90_delay_s: f.hist.quantile(0.9).unwrap_or(0.0),
-            p99_delay_s: f.hist.quantile(0.99).unwrap_or(0.0),
         })
         .collect();
     let link_utilization = links
         .iter()
         .map(|l| {
-            if measured_duration_s > 0.0 {
-                let util = l.busy_time_s / measured_duration_s;
+            if window_s > 0.0 {
+                let util = l.busy_time_s / window_s;
                 // INVARIANT: busy time is accumulated as window overlap, so
                 // it can never exceed the window itself (ε for accumulated
                 // float rounding over millions of service intervals).
@@ -520,8 +507,8 @@ pub fn simulate(
     let link_mean_occupancy = links
         .iter()
         .map(|l| {
-            if measured_duration_s > 0.0 {
-                l.sojourn_time_s / measured_duration_s
+            if window_s > 0.0 {
+                l.sojourn_time_s / window_s
             } else {
                 0.0
             }
@@ -565,7 +552,6 @@ pub fn simulate(
         link_mean_sojourn_s,
         total_packets,
         events_processed,
-        measured_duration_s,
     })
 }
 

@@ -57,7 +57,6 @@ fn base_cfg() -> TrainConfig {
         epochs: 3,
         batch_size: 2,
         lr: 3e-3,
-        checkpoint_every: 1,
         ..TrainConfig::default()
     }
 }
