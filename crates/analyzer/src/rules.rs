@@ -8,15 +8,9 @@
 //! | `nan`       | `.partial_cmp(..)` chained into `unwrap*`/`expect` (NaN panics or is silently misordered); division by a literal zero |
 //! | `invariant` | `// INVARIANT:` comments whose function has no `debug_assert!` |
 //!
-//! Semantic rule families (need the parse layer):
-//!
-//! | rule             | flags |
-//! |------------------|-------|
-//! | `hot-loop-alloc` | `Vec::new` / `vec!` / `.clone()` / `.to_vec()` / `format!` / `.to_string()` / `.to_owned()` inside loop bodies or iterator-adapter closures of hot-path files |
-//!
 //! The RN2xx family lives in [`crate::concurrency`], the RN4xx family in
-//! [`crate::numeric`]. Rules that clippy covers are retired to it (see
-//! [`RETIRED`]); their IDs stay reserved.
+//! [`crate::numeric`]. Rules that the toolchain checks better are retired
+//! to it (see [`RETIRED`]); their IDs stay reserved.
 //!
 //! Suppression: `// lint: allow(<rule>, reason = "...")`. A trailing
 //! directive covers its own line; a standalone directive covers the next
@@ -24,10 +18,10 @@
 //! The reason is mandatory — an allow without one is itself reported (rule
 //! `lint-syntax`), and an allow that suppresses nothing is reported as
 //! `lint-stale`. A directive naming a retired rule is a `lint-syntax` error
-//! that names the clippy lint to `#[expect]` instead.
+//! that names what replaced it.
 
 use crate::lexer::{Comment, Lexed, Token, TokenKind};
-use crate::parse::{self, Parsed};
+use crate::parse;
 
 /// Static registry entry for one rule.
 #[derive(Debug, Clone, Copy)]
@@ -56,14 +50,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "lint-stale",
         id: "RN007",
-    },
-    RuleInfo {
-        name: "hot-loop-alloc",
-        id: "RN103",
-    },
-    RuleInfo {
-        name: "parallel-shared-mut",
-        id: "RN201",
     },
     RuleInfo {
         name: "parallel-float-reduce",
@@ -107,25 +93,26 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// A rule retired in favour of clippy: its name, its reserved ID, and the
-/// clippy lints that now enforce what it checked.
+/// A rule retired in favour of a toolchain check: its name, its reserved
+/// ID, and what now enforces what it checked.
 #[derive(Debug, Clone, Copy)]
 pub struct RetiredRule {
     /// Former rule name, as once used in `lint: allow(..)`.
     pub name: &'static str,
     /// Former ID. Reserved: never reassigned to another rule.
     pub id: &'static str,
-    /// The clippy lints that replaced it; `#[expect]` the one that fires.
-    pub clippy: &'static [&'static str],
+    /// What replaced it: clippy lints (`#[expect]` the one that fires), a
+    /// rustc lint, or a test.
+    pub replaced_by: &'static [&'static str],
 }
 
-/// Rules retired to clippy (flags in `scripts/check.sh`, configuration in
-/// `clippy.toml`).
+/// Retired rules. Clippy lints run from `scripts/check.sh` (configuration
+/// in `clippy.toml`); `unsafe_code` is denied in the workspace manifest.
 pub const RETIRED: &[RetiredRule] = &[
     RetiredRule {
         name: "panic",
         id: "RN001",
-        clippy: &[
+        replaced_by: &[
             "clippy::unwrap_used",
             "clippy::expect_used",
             "clippy::panic",
@@ -138,12 +125,12 @@ pub const RETIRED: &[RetiredRule] = &[
     RetiredRule {
         name: "float-eq",
         id: "RN002",
-        clippy: &["clippy::float_cmp"],
+        replaced_by: &["clippy::float_cmp"],
     },
     RetiredRule {
         name: "cast",
         id: "RN004",
-        clippy: &[
+        replaced_by: &[
             "clippy::cast_possible_truncation",
             "clippy::cast_sign_loss",
             "clippy::cast_possible_wrap",
@@ -152,41 +139,31 @@ pub const RETIRED: &[RetiredRule] = &[
     RetiredRule {
         name: "determinism",
         id: "RN101",
-        clippy: &["clippy::iter_over_hash_type", "clippy::disallowed_methods"],
+        replaced_by: &["clippy::iter_over_hash_type", "clippy::disallowed_methods"],
     },
     RetiredRule {
         name: "error-discard",
         id: "RN102",
-        clippy: &[
+        replaced_by: &[
             "clippy::let_underscore_must_use",
             "clippy::unused_result_ok",
         ],
     },
     RetiredRule {
+        name: "hot-loop-alloc",
+        id: "RN103",
+        replaced_by: &["the counting-allocator test tests/alloc_counts.rs"],
+    },
+    RetiredRule {
+        name: "parallel-shared-mut",
+        id: "RN201",
+        replaced_by: &["the borrow checker, with unsafe_code denied workspace-wide"],
+    },
+    RetiredRule {
         name: "io-seam",
         id: "RN301",
-        clippy: &["clippy::disallowed_methods", "clippy::disallowed_types"],
+        replaced_by: &["clippy::disallowed_methods", "clippy::disallowed_types"],
     },
-];
-
-/// All rule names, in registry order.
-pub const RULE_NAMES: &[&str] = &[
-    "nan",
-    "invariant",
-    "lint-syntax",
-    "lint-stale",
-    "hot-loop-alloc",
-    "parallel-shared-mut",
-    "parallel-float-reduce",
-    "parallel-rng",
-    "hot-loop-lock",
-    "relaxed-publish",
-    "unit-mismatch",
-    "unit-dimension",
-    "unit-sink",
-    "nan-div",
-    "nan-domain",
-    "nan-sink",
 ];
 
 /// Registry entry for `rule` (`None` for unknown names).
@@ -203,7 +180,7 @@ pub fn rule_id(rule: &str) -> &'static str {
 /// One finding, pointing at `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule name (one of [`RULE_NAMES`]).
+    /// Rule name (one of the [`RULES`] names).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -258,21 +235,11 @@ pub struct AllowEntry {
     pub reason: String,
 }
 
-/// Which rules run on a given file.
+/// Which path-scoped rule families run on a given file. Every other rule
+/// runs on every file.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleSet {
-    /// Flag NaN-unsound patterns.
-    pub nan: bool,
-    /// Check `// INVARIANT:` annotations.
-    pub invariant: bool,
-    /// Flag allocation in loop bodies (allocation-hot files only).
-    pub hot_loop_alloc: bool,
-    /// RN201/202/203/205: parallel-region determinism audits (spawn-body
-    /// shared mutation, shared float reduction, shared RNG streams, relaxed
-    /// publication).
-    pub concurrency: bool,
-    /// RN204: flag lock acquisition in loop bodies (allocation-hot files
-    /// only, same scope as `hot_loop_alloc`).
+    /// RN204: flag lock acquisition in loop bodies (hot-path files only).
     pub hot_loop_lock: bool,
     /// RN401–RN406: numeric dataflow (unit/dimension inference and
     /// NaN-taint) in the measurement and kernel files.
@@ -283,10 +250,6 @@ impl RuleSet {
     /// Everything on — used for fixtures and the analyzer's own tests.
     pub fn all() -> Self {
         RuleSet {
-            nan: true,
-            invariant: true,
-            hot_loop_alloc: true,
-            concurrency: true,
             hot_loop_lock: true,
             numeric: true,
         }
@@ -296,18 +259,10 @@ impl RuleSet {
     /// directive for a rule that never runs here is not reported as stale.
     pub fn enables(&self, rule: &str) -> bool {
         match rule {
-            "nan" => self.nan,
-            "invariant" => self.invariant,
-            "hot-loop-alloc" => self.hot_loop_alloc,
-            "parallel-shared-mut"
-            | "parallel-float-reduce"
-            | "parallel-rng"
-            | "relaxed-publish" => self.concurrency,
             "hot-loop-lock" => self.hot_loop_lock,
             "unit-mismatch" | "unit-dimension" | "unit-sink" | "nan-div" | "nan-domain"
             | "nan-sink" => self.numeric,
-            "lint-syntax" | "lint-stale" => true,
-            _ => false,
+            _ => rule_info(rule).is_some(),
         }
     }
 }
@@ -349,15 +304,8 @@ pub fn analyze_source_with(
     let directives = parse_directives(file, &lexed, &test_spans);
 
     let mut raw: Vec<Diagnostic> = directives.syntax_errors.clone();
-    if rules.nan {
-        nan_rule(file, &lexed.tokens, &mut raw);
-    }
-    if rules.hot_loop_alloc {
-        hot_loop_alloc_rule(file, &lexed.tokens, &parsed, &mut raw);
-    }
-    if rules.concurrency || rules.hot_loop_lock {
-        crate::concurrency::concurrency_rules(file, &lexed.tokens, &parsed, graph, rules, &mut raw);
-    }
+    nan_rule(file, &lexed.tokens, &mut raw);
+    crate::concurrency::concurrency_rules(file, &lexed.tokens, &parsed, graph, rules, &mut raw);
     if rules.numeric {
         match units {
             Some(env) => crate::numeric::numeric_rules(file, &lexed, &fns, env, &mut raw),
@@ -369,9 +317,7 @@ pub fn analyze_source_with(
     }
 
     let mut invariants = Vec::new();
-    if rules.invariant {
-        invariant_rule(file, &lexed, &fns, &directives, &mut raw, &mut invariants);
-    }
+    invariant_rule(file, &lexed, &fns, &directives, &mut raw, &mut invariants);
 
     // Stale-allow detection against the *raw* findings (before test-span
     // filtering, so an allow inside test code is never reported as stale).
@@ -571,16 +517,23 @@ fn parse_allow(text: &str) -> Result<(String, String), String> {
     };
     let rule = rule.trim().to_string();
     if let Some(r) = RETIRED.iter().find(|r| r.name == rule) {
-        return Err(format!(
-            "lint rule `{rule}` ({}) is retired to clippy — replace the directive with `#[expect(<lint>, reason = \"...\")]` for the lint that fires: {}",
-            r.id,
-            r.clippy.join(", ")
-        ));
+        let by = r.replaced_by.join(", ");
+        return Err(if r.replaced_by.iter().all(|l| l.starts_with("clippy::")) {
+            format!(
+                "lint rule `{rule}` ({}) is retired to clippy — replace the directive with `#[expect(<lint>, reason = \"...\")]` for the lint that fires: {by}",
+                r.id
+            )
+        } else {
+            format!(
+                "lint rule `{rule}` ({}) is retired — delete the directive; {by} now checks what it checked",
+                r.id
+            )
+        });
     }
-    if !RULE_NAMES.contains(&rule.as_str()) {
-        let known: Vec<&str> = RULE_NAMES
+    if rule_info(&rule).is_none() {
+        let known: Vec<&str> = RULES
             .iter()
-            .copied()
+            .map(|r| r.name)
             .filter(|r| !r.starts_with("lint-"))
             .collect();
         return Err(format!(
@@ -885,54 +838,6 @@ fn invariant_rule(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: hot-loop-alloc
-// ---------------------------------------------------------------------------
-
-/// Methods that allocate a fresh owned value per call.
-const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned"];
-
-fn hot_loop_alloc_rule(file: &str, tokens: &[Token], parsed: &Parsed, out: &mut Vec<Diagnostic>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !parse::in_ranges(i, &parsed.loop_ranges) {
-            continue;
-        }
-        let prev = i.checked_sub(1).and_then(|p| tokens.get(p));
-        let next = tokens.get(i + 1);
-        let what = match t.text.as_str() {
-            "Vec" | "String"
-                if matches!(next, Some(n) if n.text == "::")
-                    && matches!(
-                        tokens.get(i + 2),
-                        Some(m) if m.text == "new" || m.text == "with_capacity" || m.text == "from"
-                    ) =>
-            {
-                Some(format!("{}::{}", t.text, tokens[i + 2].text))
-            }
-            "vec" | "format" if matches!(next, Some(n) if n.text == "!") => {
-                Some(format!("{}!", t.text))
-            }
-            m if ALLOC_METHODS.contains(&m)
-                && prev.is_some_and(|p| p.text == ".")
-                && matches!(next, Some(n) if n.text == "(") =>
-            {
-                Some(format!(".{m}()"))
-            }
-            _ => None,
-        };
-        if let Some(what) = what {
-            out.push(Diagnostic::new(
-                "hot-loop-alloc",
-                file,
-                t.line,
-                format!(
-                    "{what} allocates on every iteration of a hot loop — hoist the allocation out of the loop, reuse a buffer, or justify with `// lint: allow(hot-loop-alloc, reason = \"...\")`"
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -976,21 +881,43 @@ mod tests {
     }
 
     #[test]
-    fn retired_rule_directive_names_its_clippy_lint() {
-        for (rule, lint) in [
-            ("panic", "clippy::expect_used"),
-            ("float-eq", "clippy::float_cmp"),
-            ("cast", "clippy::cast_possible_truncation"),
-            ("determinism", "clippy::iter_over_hash_type"),
-            ("error-discard", "clippy::let_underscore_must_use"),
-            ("io-seam", "clippy::disallowed_methods"),
+    fn retired_rule_directive_names_its_replacement() {
+        for (rule, retired_to, lint) in [
+            ("panic", "retired to clippy", "clippy::expect_used"),
+            ("float-eq", "retired to clippy", "clippy::float_cmp"),
+            (
+                "cast",
+                "retired to clippy",
+                "clippy::cast_possible_truncation",
+            ),
+            (
+                "determinism",
+                "retired to clippy",
+                "clippy::iter_over_hash_type",
+            ),
+            (
+                "error-discard",
+                "retired to clippy",
+                "clippy::let_underscore_must_use",
+            ),
+            (
+                "hot-loop-alloc",
+                "retired — delete",
+                "tests/alloc_counts.rs",
+            ),
+            (
+                "parallel-shared-mut",
+                "retired — delete",
+                "unsafe_code denied",
+            ),
+            ("io-seam", "retired to clippy", "clippy::disallowed_methods"),
         ] {
             let src =
                 format!("// lint: allow({rule}, reason = \"from before the move\")\nfn f() {{}}");
             let r = run(&src);
             assert_eq!(rules_of(&r), vec!["lint-syntax"], "{rule}");
             let msg = &r.diagnostics[0].message;
-            assert!(msg.contains("retired to clippy"), "{rule}: {msg}");
+            assert!(msg.contains(retired_to), "{rule}: {msg}");
             assert!(msg.contains(lint), "{rule}: {msg}");
             assert!(
                 r.allows.is_empty(),
@@ -1039,45 +966,21 @@ mod tests {
     }
 
     #[test]
-    fn hot_loop_alloc_flags_only_inside_loops() {
-        let src = "fn f(names: &[String]) -> usize {\n\
-                       let hoisted = String::new();\n\
-                       let mut t = hoisted.len();\n\
-                       for n in names {\n\
-                           let c = n.clone();\n\
-                           t += c.len();\n\
-                       }\n\
-                       t\n\
-                   }";
-        let rep = run(src);
-        assert_eq!(rules_of(&rep), vec!["hot-loop-alloc"]);
-        assert_eq!(rep.diagnostics[0].line, 5);
-    }
-
-    #[test]
-    fn hot_loop_alloc_sees_iterator_adapter_closures() {
-        let src = "fn f(xs: &[u32]) -> usize {\n\
-                       xs.iter().map(|x| x.to_string()).count()\n\
-                   }";
-        assert_eq!(rules_of(&run(src)), vec!["hot-loop-alloc"]);
-    }
-
-    #[test]
     fn allow_scopes_to_following_block_not_rest_of_file() {
-        let src = "fn f(names: &[String]) -> usize {\n\
+        let src = "fn f(xs: &mut [f64], m: &Mutex<u32>) -> u32 {\n\
                        let mut t = 0;\n\
-                       // lint: allow(hot-loop-alloc, reason = \"cold path: runs once per run\")\n\
-                       for n in names {\n\
-                           t += n.clone().len();\n\
+                       // lint: allow(hot-loop-lock, reason = \"cold path: runs once per run\")\n\
+                       for _ in xs.iter() {\n\
+                           t += *m.lock();\n\
                        }\n\
-                       for n in names {\n\
-                           t += n.clone().len();\n\
+                       for _ in xs.iter() {\n\
+                           t += *m.lock();\n\
                        }\n\
                        t\n\
                    }";
         let rep = run(src);
         // Only the second loop (outside the allow's block span) is flagged.
-        assert_eq!(rules_of(&rep), vec!["hot-loop-alloc"]);
+        assert_eq!(rules_of(&rep), vec!["hot-loop-lock"]);
         assert_eq!(rep.diagnostics[0].line, 8);
     }
 
@@ -1104,7 +1007,6 @@ mod tests {
     #[test]
     fn rule_ids_are_stable() {
         assert_eq!(rule_id("nan"), "RN003");
-        assert_eq!(rule_id("hot-loop-alloc"), "RN103");
         assert_eq!(rule_id("hot-loop-lock"), "RN204");
         assert_eq!(rule_id("nan-sink"), "RN406");
         assert_eq!(rule_id("unheard-of"), "RN000");
@@ -1119,6 +1021,8 @@ mod tests {
                 ("cast", "RN004"),
                 ("determinism", "RN101"),
                 ("error-discard", "RN102"),
+                ("hot-loop-alloc", "RN103"),
+                ("parallel-shared-mut", "RN201"),
                 ("io-seam", "RN301"),
             ]
         );
@@ -1128,12 +1032,7 @@ mod tests {
                 "{} reassigned",
                 r.id
             );
-            assert!(!RULE_NAMES.contains(&r.name), "{} reused", r.name);
-            assert_eq!(rule_id(r.name), "RN000");
-        }
-        assert_eq!(RULES.len(), RULE_NAMES.len());
-        for (info, name) in RULES.iter().zip(RULE_NAMES) {
-            assert_eq!(info.name, *name);
+            assert_eq!(rule_id(r.name), "RN000", "{} reused", r.name);
         }
     }
 }

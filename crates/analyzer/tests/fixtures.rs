@@ -85,7 +85,7 @@ fn allow_suppression_and_lint_syntax() {
     );
     assert!(
         !stdout.contains("allowed.rs:15:"),
-        "suppressed clone flagged:\n{stdout}"
+        "suppressed lock flagged:\n{stdout}"
     );
     assert!(
         stdout.contains("3 allow justification(s)"),
@@ -126,48 +126,9 @@ fn clean_fixture_exits_zero() {
 }
 
 #[test]
-fn hot_loop_fixture_exact_diagnostics() {
-    let (out, stdout) = run_on_fixtures(&["hot_loop.rs"]);
-    // Every rule fails the gate, hot-loop-alloc included.
-    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
-    assert_eq!(
-        count_rule(&stdout, "hot-loop-alloc"),
-        4,
-        "stdout:\n{stdout}"
-    );
-    for line in [
-        "hot_loop.rs:7:",
-        "hot_loop.rs:8:",
-        "hot_loop.rs:9:",
-        "hot_loop.rs:16:",
-    ] {
-        assert!(stdout.contains(line), "missing `{line}` in:\n{stdout}");
-    }
-    assert!(stdout.contains("RN103"), "stdout:\n{stdout}");
-    assert!(stdout.contains("4 diagnostic(s)"), "stdout:\n{stdout}");
-}
-
-#[test]
-fn hot_loop_clean_fixture_passes() {
-    let (out, stdout) = run_on_fixtures(&["hot_loop_clean.rs"]);
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
-    assert!(stdout.contains("0 diagnostic(s)"), "stdout:\n{stdout}");
-    // The justified clone counts as an in-force allow, not a finding.
-    assert!(
-        stdout.contains("1 allow justification(s)"),
-        "stdout:\n{stdout}"
-    );
-}
-
-#[test]
 fn concurrency_fixture_exact_diagnostics() {
     let (out, stdout) = run_on_fixtures(&["concurrency.rs"]);
     assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
-    assert_eq!(
-        count_rule(&stdout, "parallel-shared-mut"),
-        1,
-        "stdout:\n{stdout}"
-    );
     assert_eq!(
         count_rule(&stdout, "parallel-float-reduce"),
         1,
@@ -183,25 +144,24 @@ fn concurrency_fixture_exact_diagnostics() {
         "stdout:\n{stdout}"
     );
     for line in [
-        "concurrency.rs:11:",
+        "concurrency.rs:15:",
         "concurrency.rs:21:",
-        "concurrency.rs:27:",
-        "concurrency.rs:28:",
+        "concurrency.rs:22:",
+        "concurrency.rs:29:",
         "concurrency.rs:35:",
-        "concurrency.rs:41:",
-        "concurrency.rs:49:",
+        "concurrency.rs:43:",
     ] {
         assert!(stdout.contains(line), "missing `{line}` in:\n{stdout}");
     }
     // The Relaxed counter (fetch_add) must not be flagged.
     assert!(
-        !stdout.contains("concurrency.rs:34:"),
+        !stdout.contains("concurrency.rs:28:"),
         "relaxed counter flagged:\n{stdout}"
     );
-    for id in ["RN201", "RN202", "RN203", "RN204", "RN205"] {
+    for id in ["RN202", "RN203", "RN204", "RN205"] {
         assert!(stdout.contains(id), "missing {id} in:\n{stdout}");
     }
-    assert!(stdout.contains("7 diagnostic(s)"), "stdout:\n{stdout}");
+    assert!(stdout.contains("6 diagnostic(s)"), "stdout:\n{stdout}");
 }
 
 #[test]

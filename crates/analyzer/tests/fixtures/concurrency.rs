@@ -6,12 +6,6 @@ fn draw(rng: &mut StdRng) -> f64 {
     rng.gen_range(0.0..1.0)
 }
 
-fn shared_mutation(scope: &Scope, totals: &mut Vec<f64>) {
-    scope.spawn(move |_| {
-        totals.push(1.0);
-    });
-}
-
 fn shared_float_reduce(scope: &Scope, acc: &Mutex<f64>, items: &[f64]) {
     scope.spawn(move |_| {
         let mut local = 0.0;

@@ -44,14 +44,6 @@ fn golden_check(fixture: &str, golden: &str) {
 }
 
 #[test]
-fn hot_loop_report_matches_golden() {
-    golden_check(
-        "tests/fixtures/hot_loop.rs",
-        "tests/fixtures/golden/hot_loop.json",
-    );
-}
-
-#[test]
 fn concurrency_report_matches_golden() {
     golden_check(
         "tests/fixtures/concurrency.rs",

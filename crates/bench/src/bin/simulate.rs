@@ -35,11 +35,15 @@ fn main() {
     let nodes = args.get_or("nodes", 20usize);
     let duration_s = args.get_or("duration", 120.0f64);
     let warmup_s = args.get_or("warmup", 10.0f64);
+    if !(intensity.is_finite() && intensity > 0.0) {
+        usage_exit(USAGE, "--intensity must be finite and positive");
+    }
     let topo_name = args.get("topology").unwrap_or("nsfnet");
     let spec = match topo_name {
         "nsfnet" => TopologySpec::Nsfnet,
         "geant2" => TopologySpec::Geant2,
         "gbn" => TopologySpec::Gbn,
+        "synth" if nodes < 3 => usage_exit(USAGE, "--nodes must be >= 3"),
         "synth" => TopologySpec::Synthetic {
             n: nodes,
             topo_seed: seed,

@@ -29,11 +29,18 @@ fn main() {
     // Every number parses before the telemetry log is created, so a bad
     // value exits 2 without writing a file.
     let dim = args.get_or("dim", 16usize);
+    let t_iterations = args.get_or("t-iterations", 4usize);
+    if dim < 2 {
+        usage_exit(USAGE, "--dim must be >= 2");
+    }
+    if t_iterations == 0 {
+        usage_exit(USAGE, "--t-iterations must be >= 1");
+    }
     let model_cfg = RouteNetConfig {
         link_state_dim: dim,
         path_state_dim: dim,
         readout_hidden: 2 * dim,
-        t_iterations: args.get_or("t-iterations", 4usize),
+        t_iterations,
         predict_jitter: true,
         predict_drops: false,
         seed: args.get_or("seed", 2019u64),

@@ -228,6 +228,13 @@ pub fn run_experiment_with_control(
 /// exits cleanly at the next batch boundary instead of losing the run. A
 /// second SIGINT means the user wants out *now*: the handler exits
 /// immediately with status 130 (128 + SIGINT), skipping the graceful path.
+#[cfg_attr(
+    unix,
+    expect(
+        unsafe_code,
+        reason = "installing a signal handler and exiting from it need the libc FFI calls signal(2) and _exit(2)"
+    )
+)]
 pub mod interrupt {
     use routenet_core::TrainControl;
     use std::sync::atomic::AtomicBool;

@@ -200,6 +200,12 @@ const OUT_OF_RANGE: &[(&str, &[&str])] = &[
         "gen-dataset",
         &["--topology", "synth", "--synth-nodes", "2"],
     ),
+    ("simulate", &["--intensity", "0"]),
+    ("simulate", &["--intensity", "-1"]),
+    ("simulate", &["--intensity", "NaN"]),
+    ("simulate", &["--topology", "synth", "--nodes", "2"]),
+    ("train-model", &["--dim", "0"]),
+    ("train-model", &["--t-iterations", "0"]),
 ];
 
 #[test]

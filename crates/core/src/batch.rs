@@ -88,8 +88,8 @@ impl BatchedScenario {
         for k in 0..max_len {
             // Not per-iteration scratch: both index vecs are moved into the
             // IndexPlan retained by the returned BatchedScenario.
-            let mut path_idx = Vec::new(); // lint: allow(hot-loop-alloc, reason = "moved into the retained IndexPlan")
-            let mut link_idx = Vec::new(); // lint: allow(hot-loop-alloc, reason = "moved into the retained IndexPlan")
+            let mut path_idx = Vec::new();
+            let mut link_idx = Vec::new();
             seg_lens.clear();
             for (s, sc) in scenarios.iter().enumerate() {
                 let (path_off, _) = path_seg.range(s);

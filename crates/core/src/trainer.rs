@@ -764,9 +764,10 @@ pub fn train_with_control(
 
     // Arena story: one tape per training worker plus one for evaluation
     // passes, all owned here so their buffer pools persist across batches
-    // and epochs — after the first pass the steady-state loop allocates
-    // nothing. Workers take their tape by slot, so the arena a sub-batch
-    // replays into is deterministic.
+    // and epochs — after the first pass forward values come from the pool;
+    // backward partials are still allocated per pass, and
+    // `tests/alloc_counts.rs` pins the count per epoch. Workers take their
+    // tape by slot, so the arena a sub-batch replays into is deterministic.
     let mut arenas: Vec<Tape> = (0..resolve_threads(cfg.threads).max(1))
         .map(|_| Tape::new())
         .collect();
@@ -790,6 +791,9 @@ pub fn train_with_control(
     let mut order: Vec<usize> = (0..train_items.len()).collect();
     let mut epoch = state.epoch_next;
     let mut interrupted = control.stop_requested();
+    // Whether this call has written `state` as it stands now, so the exit
+    // checkpoint below is skipped when it would rewrite the same bytes.
+    let mut state_saved = false;
 
     'epochs: while epoch < cfg.epochs && !interrupted {
         // The shuffle depends only on the persisted RNG state (the order is
@@ -891,11 +895,12 @@ pub fn train_with_control(
                 cfg.telemetry.counter_add("train.rollbacks", 1);
                 cfg.telemetry.emit(Event::Rollback {
                     epoch,
-                    reason: reason.to_string(), // lint: allow(hot-loop-alloc, reason = "rollbacks are exceptional recovery events, not per-iteration work")
+                    reason: reason.to_string(),
                     lr_before,
                     lr_after: state.opt.lr,
                 });
             }
+            state_saved = false;
             install_state(&state, model, &mut opt, &mut rng);
             if cfg.verbose {
                 eprintln!(
@@ -915,7 +920,7 @@ pub fn train_with_control(
             // improvement this copies in place instead of reallocating.
             match &mut state.best_params {
                 Some(best) => best.copy_from(model.store()),
-                None => state.best_params = Some(model.store().clone()), // lint: allow(hot-loop-alloc, reason = "first best-snapshot only; every later improvement reuses these buffers via copy_from")
+                None => state.best_params = Some(model.store().clone()),
             }
         }
         if cfg.verbose {
@@ -960,6 +965,7 @@ pub fn train_with_control(
         if let Some(path) = &cfg.checkpoint_path {
             // lint: allow(hot-loop-lock, reason = "epoch-boundary checkpoint telemetry: one lock per epoch, not per-iteration work")
             save_checkpoint(&state, path, &cfg.fs, &cfg.telemetry)?;
+            state_saved = true;
         }
         epoch += 1;
     }
@@ -989,9 +995,12 @@ pub fn train_with_control(
     }
 
     // A final checkpoint at run exit (normal completion or interruption) so
-    // the on-disk state always matches the returned run.
-    if let Some(path) = &cfg.checkpoint_path {
-        save_checkpoint(&state, path, &cfg.fs, &cfg.telemetry)?;
+    // the on-disk state always matches the returned run. A completed epoch
+    // has already written it unless a rollback changed it since.
+    if !state_saved {
+        if let Some(path) = &cfg.checkpoint_path {
+            save_checkpoint(&state, path, &cfg.fs, &cfg.telemetry)?;
+        }
     }
 
     let report = TrainReport {
@@ -1399,6 +1408,34 @@ mod tests {
     }
 
     #[test]
+    fn completed_run_writes_one_checkpoint_per_epoch() {
+        let data = mm1_dataset(5, 12);
+        let path = tmp_path("one-per-epoch");
+        let tel = Telemetry::in_memory("core", "test");
+        let mut model = tiny_model();
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 2,
+            checkpoint_path: Some(path.to_string_lossy().into_owned()),
+            telemetry: tel.clone(),
+            ..TrainConfig::default()
+        };
+        train(&mut model, &data[..4], &data[4..], &cfg).unwrap();
+        let writes: Vec<usize> = tel
+            .records()
+            .iter()
+            .filter_map(|r| match r.event {
+                Event::CheckpointWrite { epoch, .. } => Some(epoch),
+                _ => None,
+            })
+            .collect();
+        // The last epoch's write is the exit state: no second write of it.
+        assert_eq!(writes, vec![1, 2]);
+        assert_eq!(TrainState::load(&path).unwrap().epoch_next, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn pre_stopped_control_checkpoints_and_exits_cleanly() {
         let data = mm1_dataset(4, 13);
         let path = tmp_path("interrupt");
@@ -1411,9 +1448,20 @@ mod tests {
         };
         let control = TrainControl::new();
         control.request_stop();
+        let tel = Telemetry::in_memory("core", "test");
+        let cfg = TrainConfig {
+            telemetry: tel.clone(),
+            ..cfg
+        };
         let report = train_with_control(&mut model, &data, &[], &cfg, &control).unwrap();
         assert!(report.interrupted);
         assert!(report.epochs.is_empty());
+        let writes = tel
+            .records()
+            .iter()
+            .filter(|r| r.event.kind() == "CheckpointWrite")
+            .count();
+        assert_eq!(writes, 1);
         // The checkpoint exists and resumes from epoch 0.
         let state = TrainState::load(&path).unwrap();
         assert_eq!(state.epoch_next, 0);

@@ -260,6 +260,9 @@ pub struct Tape {
     /// allocation order; `alloc_tensor` pops front, so a replayed op
     /// sequence gets each buffer back at exactly the right capacity.
     pool: VecDeque<Vec<f64>>,
+    /// [`Tape::gru_seg`]'s per-row temporaries, kept so a GRU step does
+    /// not allocate them on every call.
+    gru_scratch: Vec<f64>,
     reuse_hits: u64,
     reuse_misses: u64,
     max_nodes: usize,
@@ -728,7 +731,8 @@ impl Tape {
             c: self.alloc_tensor(rows, hid),
             rh: self.alloc_tensor(rows, hid),
         };
-        let mut scratch = vec![0.0; 6 * hid];
+        let mut scratch = std::mem::take(&mut self.gru_scratch);
+        scratch.resize(6 * hid, 0.0);
         let finite = gru_forward(
             [self.value(x), self.value(h)],
             [
@@ -746,6 +750,7 @@ impl Tape {
             &mut saved,
             &mut scratch,
         );
+        self.gru_scratch = scratch;
         if !finite {
             self.poisoned = true;
         }

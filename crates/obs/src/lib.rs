@@ -17,8 +17,8 @@
 //! **Overhead budget**: instrumented hot loops (the simulator event loop,
 //! the trainer batch loop) must never call into the registry per event.
 //! They aggregate into local scalars and emit a single [`Event`] per run or
-//! per epoch; the disabled path costs one branch per run. This keeps the
-//! `hot-loop-alloc` analyzer rule (RN103) green.
+//! per epoch; the disabled path costs one branch per run. The root test
+//! `tests/alloc_counts.rs` counts the allocations of those loops.
 //!
 //! **Durability and cost**: the JSONL sink is not append-only. Every
 //! emitted event rewrites the full event log through the canonical atomic

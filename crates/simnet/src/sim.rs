@@ -267,7 +267,6 @@ pub fn simulate(
                 src: s,
                 dst: d,
                 rate_pps: demand / cfg.mean_pkt_size_bits,
-                // lint: allow(hot-loop-alloc, reason = "one owned path per flow at setup; the event loop itself never allocates")
                 path: routing.path(s, d).to_vec(),
                 in_on: true,
                 period_end: 0.0,
@@ -288,7 +287,6 @@ pub fn simulate(
     }
     for f in &flows {
         if f.path.len() >= usize::from(u16::MAX) {
-            // lint: allow(hot-loop-alloc, reason = "error message built only on the bad-config early-return path")
             return Err(SimError::BadConfig(format!(
                 "path for {}->{} has {} hops, exceeding the u16 hop counter",
                 f.src,
@@ -297,7 +295,6 @@ pub fn simulate(
             )));
         }
         if let Some(&lid) = f.path.iter().find(|l| l.0 >= g.n_links()) {
-            // lint: allow(hot-loop-alloc, reason = "error message built only on the bad-config early-return path")
             return Err(SimError::BadConfig(format!(
                 "routing path for {}->{} references {lid} outside the graph",
                 f.src, f.dst
@@ -350,9 +347,10 @@ pub fn simulate(
     let mut events_processed: u64 = 0;
     let mut total_packets: u64 = 0;
     // Telemetry cost metrics aggregate into plain locals: the event loop
-    // never calls into the registry (overhead budget, RN103). The heap
-    // high-water compare is unconditional — cheaper than a branch on the
-    // telemetry handle and identical for every run.
+    // never calls into the registry (overhead budget; `tests/alloc_counts.rs`
+    // pins that the loop does not allocate per event). The heap high-water
+    // compare is unconditional — cheaper than a branch on the telemetry
+    // handle and identical for every run.
     let mut heap_high_water: usize = heap.len();
     let wall_start = cfg.telemetry.enabled().then(Instant::now);
 

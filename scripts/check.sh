@@ -67,8 +67,11 @@ if [[ "$QUICK" -eq 0 ]]; then
 fi
 
 # The analyzer checks what clippy cannot: NaN-unsound comparisons, unchecked
-# invariants, allocation and locking in hot loops, parallel determinism, and
-# unit/NaN dataflow (rule table in CONTRIBUTING.md). Every finding fails the
+# invariants, locking in hot loops, parallel determinism, and unit/NaN
+# dataflow (rule table in CONTRIBUTING.md). Racing writes in parallel code
+# are the borrow checker's (`unsafe_code` is denied workspace-wide) and
+# hot-loop allocation is measured by tests/alloc_counts.rs, the two checks
+# that replaced RN201 and RN103. Every finding fails the
 # gate, so the rule registry alone decides what blocks CI. --quick runs the
 # same whole-workspace scan: the call graph and unit environment span the
 # whole tree either way.
@@ -99,6 +102,12 @@ fi
 
 step "cargo build --release"
 cargo build --release
+
+# Allocation counts in release: debug builds allocate in debug_assert!
+# checks once per hop, so only here must a warm predict pass and a served
+# batch allocate the same count at every t_iterations.
+step "allocation counts (release)"
+cargo test -q --release --test alloc_counts
 
 step "cargo test --workspace"
 cargo test --workspace -q
