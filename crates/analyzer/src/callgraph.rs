@@ -1,9 +1,9 @@
-//! Workspace-wide call graph with per-function effect inference.
+//! Workspace-wide call graph with per-function lock inference.
 //!
-//! The RN2xx concurrency rules ([`crate::concurrency`]) need cross-file
-//! answers — "does the function called inside this `scope.spawn` closure
-//! touch an RNG, anywhere down its call chain?" — that no single-file token
-//! pass can give. This module builds that context in three steps:
+//! The RN204 hot-loop-lock rule ([`crate::concurrency`]) needs a cross-file
+//! answer — "does the function called inside this hot loop acquire a lock,
+//! anywhere down its call chain?" — that no single-file token pass can
+//! give. This module builds that context in three steps:
 //!
 //! 1. **Symbol table**: every function item in the analyzed file set, keyed
 //!    by simple name and, where the declaring `impl` block names a type, by
@@ -13,32 +13,16 @@
 //!    (`Type::helper(..)`), and method calls (`x.helper(..)`) inside each
 //!    function body, resolved by name against the symbol table. Name-based
 //!    resolution is deliberately conservative: an ambiguous name unions the
-//!    effects of every candidate, so the rules over-approximate rather than
-//!    miss a hazard.
-//! 3. **Effect inference**: direct effects per body (touches-RNG,
-//!    seeds-own-RNG, locks), then a fixed-point pass that propagates RNG and lock effects through
-//!    resolved calls. A function that *seeds its own RNG* from explicit
-//!    state (`seed_from_u64`, `from_seed`, ...) is a derivation boundary:
-//!    its stream is a pure function of its arguments, so neither its own
-//!    RNG use nor its callees' propagates to callers.
+//!    effects of every candidate, so the rule over-approximates rather than
+//!    misses a hazard.
+//! 3. **Effect inference**: whether each body acquires a lock (`.lock(..)`),
+//!    then a fixed-point pass that propagates it through resolved calls.
 //!
 //! Everything is stored in sorted `Vec`s keyed by `(file, name, line)` —
 //! never a hash map — so the graph, and every report built on it, is
 //! byte-identical across runs and input orderings.
 
 use crate::lexer::{Token, TokenKind};
-
-/// Direct (single-body) effects of one function.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Effects {
-    /// Body calls an RNG method (`gen_range`, `shuffle`, `sample`, ...).
-    pub uses_rng: bool,
-    /// Body seeds an RNG from explicit state (`seed_from_u64`,
-    /// `from_seed`, ...) — a per-call derived stream, not an ambient one.
-    pub seeds_own_rng: bool,
-    /// Body acquires a lock (`.lock(..)`).
-    pub locks: bool,
-}
 
 /// One function node in the graph.
 #[derive(Debug, Clone)]
@@ -51,13 +35,8 @@ pub struct FnNode {
     pub qualified: Option<String>,
     /// Line of the `fn` keyword.
     pub sig_line: u32,
-    /// Effects of this body alone.
-    pub direct: Effects,
     /// Callee names (simple or `Type::name`), sorted and deduplicated.
     pub calls: Vec<String>,
-    /// RNG hazard after propagation: this function draws from an RNG stream
-    /// it did not derive itself, directly or through any callee.
-    pub rng_hazard: bool,
     /// Acquires a lock, directly or through any callee.
     pub lock_effect: bool,
 }
@@ -67,22 +46,6 @@ pub struct FnNode {
 pub struct CallGraph {
     nodes: Vec<FnNode>,
 }
-
-/// RNG draw methods: using one on a receiver advances a random stream.
-pub const RNG_METHODS: &[&str] = &[
-    "gen",
-    "gen_range",
-    "gen_bool",
-    "sample",
-    "shuffle",
-    "choose",
-    "choose_multiple",
-    "fill",
-];
-
-/// Constructors that derive an RNG stream from explicit state. A body that
-/// calls one owns its stream: callers see no RNG hazard through it.
-pub const RNG_SEEDERS: &[&str] = &["seed_from_u64", "from_seed", "from_state", "from_os_rng"];
 
 /// Names too generic to resolve by name alone: uniting every `new` in the
 /// workspace would wire unrelated constructors into every call chain, and
@@ -96,6 +59,20 @@ const UNRESOLVABLE_NAMES: &[&str] = &[
     "build",
     "get",
     "drop",
+];
+
+/// `rand` trait methods. `rng.gen(..)` is a draw, never a call into a
+/// workspace function of the same name (a binary's `gen` helper, say), so
+/// method calls by these names are not linked.
+const RAND_METHODS: &[&str] = &[
+    "gen",
+    "gen_range",
+    "gen_bool",
+    "sample",
+    "shuffle",
+    "choose",
+    "choose_multiple",
+    "fill",
 ];
 
 impl CallGraph {
@@ -128,49 +105,32 @@ impl CallGraph {
             .collect()
     }
 
-    /// Does any function matching `name` carry a propagated RNG hazard?
-    /// Unknown names resolve to `false`: the graph only ever adds evidence.
-    pub fn rng_hazard(&self, name: &str) -> bool {
-        self.candidates(name)
-            .iter()
-            .any(|&i| self.nodes[i].rng_hazard)
-    }
-
     /// Does any function matching `name` acquire a lock, transitively?
+    /// Unknown names resolve to `false`: the graph only ever adds evidence.
     pub fn lock_effect(&self, name: &str) -> bool {
         self.candidates(name)
             .iter()
             .any(|&i| self.nodes[i].lock_effect)
     }
 
-    /// Fixed-point propagation of RNG and lock effects through resolved
-    /// calls. Both flags only ever turn on, so iteration terminates and the
-    /// result is independent of visit order.
+    /// Fixed-point propagation of lock effects, seeded with each body's own
+    /// `.lock(..)` calls, through resolved calls. The flag only ever turns
+    /// on, so iteration terminates and the result is independent of visit
+    /// order.
     fn propagate(&mut self) {
-        for n in &mut self.nodes {
-            n.rng_hazard = n.direct.uses_rng && !n.direct.seeds_own_rng;
-            n.lock_effect = n.direct.locks;
-        }
         loop {
             let mut changed = false;
             for i in 0..self.nodes.len() {
-                let mut rng = self.nodes[i].rng_hazard;
-                let mut lock = self.nodes[i].lock_effect;
-                for callee in &self.nodes[i].calls {
-                    for &j in &self.candidates(callee) {
-                        if j == i {
-                            continue;
-                        }
-                        // A self-seeding body owns every stream below it.
-                        if !self.nodes[i].direct.seeds_own_rng {
-                            rng |= self.nodes[j].rng_hazard;
-                        }
-                        lock |= self.nodes[j].lock_effect;
-                    }
+                if self.nodes[i].lock_effect {
+                    continue;
                 }
-                if rng != self.nodes[i].rng_hazard || lock != self.nodes[i].lock_effect {
-                    self.nodes[i].rng_hazard = rng;
-                    self.nodes[i].lock_effect = lock;
+                let lock = self.nodes[i].calls.iter().any(|callee| {
+                    self.candidates(callee)
+                        .iter()
+                        .any(|&j| self.nodes[j].lock_effect)
+                });
+                if lock {
+                    self.nodes[i].lock_effect = true;
                     changed = true;
                 }
             }
@@ -202,10 +162,8 @@ fn collect_file(rel: &str, source: &str, nodes: &mut Vec<FnNode>) {
             name: f.name.clone(),
             qualified: owner.map(|ty| format!("{ty}::{}", f.name)),
             sig_line: f.sig_line,
-            direct: direct_effects(body),
             calls: call_sites(body),
-            rng_hazard: false,
-            lock_effect: false,
+            lock_effect: locks(body),
         });
     }
 }
@@ -246,32 +204,11 @@ fn impl_owner_ranges(tokens: &[Token]) -> Vec<(usize, usize, String)> {
     out
 }
 
-/// Scan one body's tokens for direct effects.
-fn direct_effects(body: &[Token]) -> Effects {
-    let mut e = Effects::default();
-    for (i, t) in body.iter().enumerate() {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let prev = i.checked_sub(1).and_then(|p| body.get(p));
-        let is_call = body.get(i + 1).is_some_and(|n| n.text == "(");
-        let is_method = is_call && prev.is_some_and(|p| p.text == ".");
-        match t.text.as_str() {
-            m if is_method && RNG_METHODS.contains(&m) => e.uses_rng = true,
-            s if is_call && RNG_SEEDERS.contains(&s) => e.seeds_own_rng = true,
-            "lock" if is_method => e.locks = true,
-            _ => {}
-        }
-    }
-    e
-}
-
-/// Is `text` a compound assignment operator?
-pub(crate) fn is_compound_assign(text: &str) -> bool {
-    matches!(
-        text,
-        "+=" | "-=" | "*=" | "/=" | "%=" | "&=" | "|=" | "^=" | "<<=" | ">>="
-    )
+/// Does one body call `.lock(..)` directly?
+fn locks(body: &[Token]) -> bool {
+    body.windows(3).any(|w| {
+        w[0].text == "." && w[1].kind == TokenKind::Ident && w[1].text == "lock" && w[2].text == "("
+    })
 }
 
 /// Callee names referenced by one body: plain calls, `Type::name(..)` path
@@ -306,12 +243,9 @@ fn call_sites(body: &[Token]) -> Vec<String> {
                     push(t.text.clone());
                 }
             }
-            // Method-call RNG draws (`rng.gen(..)`) are already a *direct*
-            // effect; linking them by name would wire any free function that
-            // happens to be called `gen`/`sample`/`fill` into the chain.
             Some(".")
                 if UNRESOLVABLE_NAMES.contains(&t.text.as_str())
-                    || RNG_METHODS.contains(&t.text.as_str()) => {}
+                    || RAND_METHODS.contains(&t.text.as_str()) => {}
             _ => {
                 if !UNRESOLVABLE_NAMES.contains(&t.text.as_str()) {
                     push(t.text.clone());
@@ -335,39 +269,24 @@ mod tests {
     }
 
     #[test]
-    fn direct_effects_detected() {
+    fn direct_lock_detected() {
         let g = graph_of(&[(
             "a.rs",
-            "fn f(rng: &mut R) -> f64 { let v = vec![1]; rng.gen_range(0.0..1.0) }",
+            "fn f(m: &Mutex<f64>) -> f64 { let v = vec![1]; *m.lock() }\nfn g(x: f64) -> f64 { x }",
         )]);
-        let n = &g.nodes()[0];
-        assert!(n.direct.uses_rng);
-        assert!(!n.direct.seeds_own_rng && !n.direct.locks);
-        assert!(n.rng_hazard);
+        assert!(g.nodes()[0].lock_effect);
+        assert!(!g.nodes()[1].lock_effect);
     }
 
     #[test]
-    fn self_seeding_cuts_rng_hazard() {
-        let src = "fn draw(rng: &mut R) -> f64 { rng.gen_range(0.0..1.0) }\n\
-                   fn sample(i: u64) -> f64 { let mut rng = StdRng::seed_from_u64(i); draw(&mut rng) }\n\
-                   fn caller(i: u64) -> f64 { sample(i) }";
-        let g = graph_of(&[("a.rs", src)]);
-        let by_name = |n: &str| g.nodes().iter().find(|f| f.name == n).unwrap().clone();
-        assert!(by_name("draw").rng_hazard);
-        assert!(!by_name("sample").rng_hazard, "seeding blesses the chain");
-        assert!(!by_name("caller").rng_hazard);
-        assert!(g.rng_hazard("draw"));
-        assert!(!g.rng_hazard("caller"));
-    }
-
-    #[test]
-    fn rng_hazard_propagates_across_files() {
+    fn lock_effect_propagates_across_files() {
         let g = graph_of(&[
-            ("a.rs", "pub fn noisy(rng: &mut R) -> f64 { rng.sample(D) }"),
-            ("b.rs", "pub fn wrapper(rng: &mut R) -> f64 { noisy(rng) }"),
-            ("c.rs", "pub fn outer(rng: &mut R) -> f64 { wrapper(rng) }"),
+            ("a.rs", "pub fn record(s: &S) { let g = s.m.lock(); }"),
+            ("b.rs", "pub fn wrapper(s: &S) { record(s) }"),
+            ("c.rs", "pub fn outer(s: &S) { wrapper(s) }"),
         ]);
-        assert!(g.rng_hazard("outer"));
+        assert!(g.lock_effect("outer"));
+        assert!(!g.lock_effect("unheard_of"));
     }
 
     #[test]
@@ -382,41 +301,37 @@ mod tests {
 
     #[test]
     fn test_mod_fns_are_excluded() {
-        let src =
-            "fn real() {}\n#[cfg(test)]\nmod tests {\n fn fake(rng: &mut R) { rng.shuffle(v); }\n}";
+        let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n fn fake(m: &M) { m.lock(); }\n}";
         let g = graph_of(&[("a.rs", src)]);
         assert_eq!(g.nodes().len(), 1);
-        assert!(!g.rng_hazard("fake"));
+        assert!(!g.lock_effect("fake"));
     }
 
     #[test]
     fn generic_names_only_resolve_qualified() {
-        let src = "impl Rng {\n fn new(s: u64) -> Self { let x = OS.sample(D); Rng }\n}\n\
-                   fn a() { let r = Rng::new(1); }\n\
+        let src = "impl Pool {\n fn new(s: u64) -> Self { let x = GLOBAL.lock(); Pool }\n}\n\
+                   fn a() { let r = Pool::new(1); }\n\
                    fn b() { let v = Vec::new(); }";
         let g = graph_of(&[("a.rs", src)]);
-        let by_name = |n: &str| g.nodes().iter().find(|f| f.name == n).unwrap().clone();
-        assert!(by_name("a").rng_hazard, "qualified Rng::new resolves");
-        assert!(!by_name("b").rng_hazard, "Vec::new does not hit Rng::new");
+        assert!(g.lock_effect("a"), "qualified Pool::new resolves");
+        assert!(!g.lock_effect("b"), "Vec::new does not hit Pool::new");
     }
 
     #[test]
     fn graph_is_input_order_independent() {
         let files = [
-            ("a.rs", "pub fn f(rng: &mut R) -> f64 { g(rng) }"),
-            (
-                "b.rs",
-                "pub fn g(rng: &mut R) -> f64 { rng.gen_range(0.0..1.0) }",
-            ),
+            ("a.rs", "pub fn f(s: &S) -> f64 { g(s) }"),
+            ("b.rs", "pub fn g(s: &S) -> f64 { *s.m.lock() }"),
         ];
         let fwd = graph_of(&files);
         let rev = graph_of(&[files[1], files[0]]);
         let names = |g: &CallGraph| {
             g.nodes()
                 .iter()
-                .map(|n| (n.file.clone(), n.name.clone(), n.rng_hazard, n.lock_effect))
+                .map(|n| (n.file.clone(), n.name.clone(), n.lock_effect))
                 .collect::<Vec<_>>()
         };
         assert_eq!(names(&fwd), names(&rev));
+        assert!(fwd.lock_effect("f"));
     }
 }

@@ -5,13 +5,15 @@
 //! own minimal Rust lexer ([`lexer`]) and the rules clippy cannot express,
 //! tuned to the failure modes that would invalidate the paper's
 //! generalization results: NaN-unsound float handling and undocumented
-//! invariants ([`rules`]), locking in hot loops and parallel regions that
-//! break determinism ([`concurrency`]), and unit or NaN dataflow errors
-//! ([`numeric`]). Panics, float equality, lossy casts, hash-order
-//! iteration, discarded errors, and direct `std::fs` use are clippy's job;
-//! racing writes are the borrow checker's, with `unsafe_code` denied; and
-//! hot-loop allocation is measured by the root test `tests/alloc_counts.rs`
-//! (see [`rules::RETIRED`] and `scripts/check.sh`).
+//! invariants ([`rules`]), locking in hot loops and relaxed publication
+//! ([`concurrency`]), and unit or NaN dataflow errors ([`numeric`]).
+//! Panics, float equality, lossy casts, hash-order iteration, discarded
+//! errors, and direct `std::fs` use are clippy's job; racing writes are the
+//! borrow checker's, with `unsafe_code` denied; parallel determinism rests
+//! on one scoped-thread helper that clippy keeps the only parallel region,
+//! pinned by 1-vs-N byte-identity tests; and hot-loop allocation is
+//! measured by the root test `tests/alloc_counts.rs` (see
+//! [`rules::RETIRED`] and `scripts/check.sh`).
 //!
 //! Entry points: [`analyze_workspace`] (what `scripts/check.sh` and CI run)
 //! and [`analyze_paths`] (explicit files, all rules on — used by the fixture

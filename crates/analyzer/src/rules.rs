@@ -52,14 +52,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "RN007",
     },
     RuleInfo {
-        name: "parallel-float-reduce",
-        id: "RN202",
-    },
-    RuleInfo {
-        name: "parallel-rng",
-        id: "RN203",
-    },
-    RuleInfo {
         name: "hot-loop-lock",
         id: "RN204",
     },
@@ -105,6 +97,14 @@ pub struct RetiredRule {
     /// rustc lint, or a test.
     pub replaced_by: &'static [&'static str],
 }
+
+/// What replaced the parallel-determinism rules: one scoped-thread helper
+/// that clippy keeps the only parallel region, and the tests that pin its
+/// output at 1 and N workers.
+const PARALLEL_REGION: &[&str] = &[
+    "clippy::disallowed_methods on std::thread::scope outside routenet_core::par::strided_map",
+    "the 1-vs-N byte-identity tests parallel_training_is_bit_identical_to_sequential (routenet-core) and parallel_equals_sequential (routenet-dataset)",
+];
 
 /// Retired rules. Clippy lints run from `scripts/check.sh` (configuration
 /// in `clippy.toml`); `unsafe_code` is denied in the workspace manifest.
@@ -158,6 +158,16 @@ pub const RETIRED: &[RetiredRule] = &[
         name: "parallel-shared-mut",
         id: "RN201",
         replaced_by: &["the borrow checker, with unsafe_code denied workspace-wide"],
+    },
+    RetiredRule {
+        name: "parallel-float-reduce",
+        id: "RN202",
+        replaced_by: PARALLEL_REGION,
+    },
+    RetiredRule {
+        name: "parallel-rng",
+        id: "RN203",
+        replaced_by: PARALLEL_REGION,
     },
     RetiredRule {
         name: "io-seam",
@@ -278,8 +288,8 @@ pub struct FileReport {
     pub allows: Vec<AllowEntry>,
 }
 
-/// Analyze one file's source text (no call-graph context: the RN203/RN204
-/// transitive checks fall back to direct evidence only).
+/// Analyze one file's source text (no call-graph context: the RN204
+/// transitive check falls back to direct evidence only).
 pub fn analyze_source(file: &str, source: &str, rules: RuleSet) -> FileReport {
     analyze_source_with(file, source, rules, None, None)
 }
@@ -910,6 +920,16 @@ mod tests {
                 "retired — delete",
                 "unsafe_code denied",
             ),
+            (
+                "parallel-float-reduce",
+                "retired — delete",
+                "parallel_training_is_bit_identical_to_sequential",
+            ),
+            (
+                "parallel-rng",
+                "retired — delete",
+                "std::thread::scope outside routenet_core::par::strided_map",
+            ),
             ("io-seam", "retired to clippy", "clippy::disallowed_methods"),
         ] {
             let src =
@@ -1023,6 +1043,8 @@ mod tests {
                 ("error-discard", "RN102"),
                 ("hot-loop-alloc", "RN103"),
                 ("parallel-shared-mut", "RN201"),
+                ("parallel-float-reduce", "RN202"),
+                ("parallel-rng", "RN203"),
                 ("io-seam", "RN301"),
             ]
         );

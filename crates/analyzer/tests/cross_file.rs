@@ -1,6 +1,6 @@
 //! Cross-file contract of the workspace scan: the call graph and unit
 //! environment are built over the whole workspace, and interprocedural
-//! RN2xx/RN4xx findings report at the *call site*. Editing only a callee's
+//! RN204/RN4xx findings report at the *call site*. Editing only a callee's
 //! body must therefore surface findings in a caller file that never changed.
 //!
 //! The tests build a tiny synthetic workspace in a temp dir. The caller file
@@ -14,7 +14,7 @@ use std::path::PathBuf;
 /// asserted below is driven purely by callee-side evidence.
 const CALLER: &str = r#"//! Synthetic measurement module.
 
-use crate::helpers::{draw_jitter, mean_delay};
+use crate::helpers::{mean_delay, tally};
 
 pub struct Telemetry {
     /// unit: s
@@ -32,15 +32,14 @@ pub fn record(t: &mut Telemetry, sum_s: f64, n: f64) {
     t.observe_s(v);
 }
 
-pub fn fan_out(scope: &Scope) {
-    scope.spawn(move |_| {
-        let j = draw_jitter(7);
-        j
-    });
+pub fn count_all(items: &[u64], hits: &Hits) {
+    for x in items {
+        tally(hits, x);
+    }
 }
 "#;
 
-/// Callee with a guarded division and a self-seeded RNG stream: no evidence
+/// Callee with a guarded division and a lock-free counter: no evidence
 /// reaches the caller.
 const CALLEE_CLEAN: &str = r#"//! Callee bodies (the edited file).
 
@@ -49,27 +48,27 @@ pub fn mean_delay(sum_s: f64, n: f64) -> f64 {
     sum_s / count
 }
 
-pub fn draw_jitter(seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    rng.gen_range(0.0..1.0)
+pub fn tally(hits: &Hits, x: u64) {
+    hits.count.fetch_add(x, Ordering::Relaxed);
 }
 "#;
 
 /// The same callees after a careless edit: an unguarded denominator (NaN can
-/// now flow into the caller's telemetry sink) and a draw from an ambient RNG
-/// stream (schedule-dependent inside the caller's spawn).
+/// now flow into the caller's telemetry sink) and a lock (taken once per
+/// iteration of the caller's hot loop).
 const CALLEE_BUGGY: &str = r#"//! Callee bodies (the edited file).
 
 pub fn mean_delay(sum_s: f64, n: f64) -> f64 {
     sum_s / n
 }
 
-pub fn draw_jitter(rng: &mut StdRng) -> f64 {
-    rng.gen_range(0.0..1.0)
+pub fn tally(hits: &Hits, x: u64) {
+    *hits.count.lock() += x;
 }
 "#;
 
-const CALLER_REL: &str = "crates/simnet/src/stats.rs";
+/// Both numeric-scoped and a hot path, so RN4xx and RN204 both run here.
+const CALLER_REL: &str = "crates/simnet/src/sim.rs";
 const CALLEE_REL: &str = "crates/simnet/src/helpers.rs";
 
 fn build_workspace(tag: &str, callee: &str) -> PathBuf {
@@ -101,8 +100,8 @@ fn callee_edit_resurfaces_findings_in_unchanged_caller() {
         "RN406 lost in caller: {caller:?}"
     );
     assert!(
-        caller.iter().any(|(r, _)| r == "parallel-rng"),
-        "RN203 lost in caller: {caller:?}"
+        caller.iter().any(|(r, _)| r == "hot-loop-lock"),
+        "RN204 lost in caller: {caller:?}"
     );
 
     let _ = fs::remove_dir_all(&root);

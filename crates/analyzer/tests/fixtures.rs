@@ -129,13 +129,6 @@ fn clean_fixture_exits_zero() {
 fn concurrency_fixture_exact_diagnostics() {
     let (out, stdout) = run_on_fixtures(&["concurrency.rs"]);
     assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
-    assert_eq!(
-        count_rule(&stdout, "parallel-float-reduce"),
-        1,
-        "stdout:\n{stdout}"
-    );
-    // One direct draw and one callgraph-transitive draw.
-    assert_eq!(count_rule(&stdout, "parallel-rng"), 2, "stdout:\n{stdout}");
     // One direct .lock() in a loop and one transitive through record().
     assert_eq!(count_rule(&stdout, "hot-loop-lock"), 2, "stdout:\n{stdout}");
     assert_eq!(
@@ -144,24 +137,21 @@ fn concurrency_fixture_exact_diagnostics() {
         "stdout:\n{stdout}"
     );
     for line in [
-        "concurrency.rs:15:",
-        "concurrency.rs:21:",
-        "concurrency.rs:22:",
-        "concurrency.rs:29:",
-        "concurrency.rs:35:",
-        "concurrency.rs:43:",
+        "concurrency.rs:6:",
+        "concurrency.rs:12:",
+        "concurrency.rs:20:",
     ] {
         assert!(stdout.contains(line), "missing `{line}` in:\n{stdout}");
     }
     // The Relaxed counter (fetch_add) must not be flagged.
     assert!(
-        !stdout.contains("concurrency.rs:28:"),
+        !stdout.contains("concurrency.rs:5:"),
         "relaxed counter flagged:\n{stdout}"
     );
-    for id in ["RN202", "RN203", "RN204", "RN205"] {
+    for id in ["RN204", "RN205"] {
         assert!(stdout.contains(id), "missing {id} in:\n{stdout}");
     }
-    assert!(stdout.contains("6 diagnostic(s)"), "stdout:\n{stdout}");
+    assert!(stdout.contains("3 diagnostic(s)"), "stdout:\n{stdout}");
 }
 
 #[test]

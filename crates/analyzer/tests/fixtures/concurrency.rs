@@ -1,28 +1,5 @@
-//! Fixture: RN2xx concurrency/determinism violations, one family per
-//! function. Line positions are pinned by the fixture tests.
-
-/// Transitive RN203 evidence: draws from a stream it did not derive.
-fn draw(rng: &mut StdRng) -> f64 {
-    rng.gen_range(0.0..1.0)
-}
-
-fn shared_float_reduce(scope: &Scope, acc: &Mutex<f64>, items: &[f64]) {
-    scope.spawn(move |_| {
-        let mut local = 0.0;
-        for x in items {
-            local += x;
-        }
-        *acc.lock() += local;
-    });
-}
-
-fn shared_rng(scope: &Scope, rng: &mut StdRng) -> f64 {
-    scope.spawn(move |_| {
-        let direct = rng.gen_range(0.0..1.0);
-        let transitive = draw(rng);
-        direct + transitive
-    });
-}
+//! Fixture: RN2xx concurrency violations, one family per function. Line
+//! positions are pinned by the fixture tests.
 
 fn relaxed_publication(ready: &AtomicBool, hits: &AtomicU64) {
     hits.fetch_add(1, Ordering::Relaxed);

@@ -1,30 +1,5 @@
-//! Fixture: the blessed parallel patterns from DESIGN.md "Parallelism
-//! safety contract". The RN2xx rules must stay silent here.
-
-/// Indexed write-slots with per-worker derived RNG streams: each worker owns
-/// a disjoint slot range and a stream derived from explicit state, so the
-/// result is byte-identical at any worker count.
-fn strided_workers(slots: &mut Vec<f64>, workers: usize, seed: u64) {
-    crossbeam::thread::scope(|scope| {
-        for (w, chunk) in partition_mut(slots, workers) {
-            scope.spawn(move |_| {
-                let mut rng = StdRng::seed_from_u64(seed ^ worker_tag(w));
-                for slot in chunk {
-                    *slot = rng.gen_range(0.0..1.0);
-                }
-            });
-        }
-    });
-}
-
-/// Routing values through a channel is ordered by the receiver, not a race.
-fn channel_fanout(scope: &Scope, tx: &Sender<f64>, items: &[f64]) {
-    scope.spawn(move |_| {
-        for x in items {
-            let _sent = tx.send(x);
-        }
-    });
-}
+//! Fixture: the RN2xx rules must stay silent on a counter, a released
+//! publication and a hoisted lock.
 
 /// Relaxed is the right ordering for counters; publication uses Release.
 fn publish_with_release(ready: &AtomicBool, hits: &AtomicU64) {

@@ -50,6 +50,16 @@ fn main() {
         },
         other => usage_exit(USAGE, &format!("unknown --topology {other:?}")),
     };
+    let mut cfg = SimConfig {
+        duration_s,
+        warmup_s,
+        size_dist: SizeDistribution::Deterministic,
+        seed,
+        ..SimConfig::default()
+    };
+    if let Err(e) = cfg.validate() {
+        usage_exit(USAGE, &e.to_string());
+    }
     let out = args.get("out").unwrap_or("sim.telemetry.jsonl");
     let tel = if args.get("no-telemetry").is_some() {
         Telemetry::disabled()
@@ -74,14 +84,7 @@ fn main() {
         intensity,
         &mut rng,
     );
-    let cfg = SimConfig {
-        duration_s,
-        warmup_s,
-        size_dist: SizeDistribution::Deterministic,
-        seed,
-        telemetry: tel.clone(),
-        ..SimConfig::default()
-    };
+    cfg.telemetry = tel.clone();
     let res = simulate(&graph, &routing, &traffic, &cfg).unwrap_or_else(|e| {
         eprintln!("simulation rejected: {e}");
         std::process::exit(1);

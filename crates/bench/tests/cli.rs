@@ -204,6 +204,10 @@ const OUT_OF_RANGE: &[(&str, &[&str])] = &[
     ("simulate", &["--intensity", "-1"]),
     ("simulate", &["--intensity", "NaN"]),
     ("simulate", &["--topology", "synth", "--nodes", "2"]),
+    ("simulate", &["--duration", "0"]),
+    ("simulate", &["--duration", "NaN"]),
+    ("simulate", &["--warmup", "-1"]),
+    ("simulate", &["--warmup", "500"]),
     ("train-model", &["--dim", "0"]),
     ("train-model", &["--t-iterations", "0"]),
 ];

@@ -40,6 +40,7 @@ pub mod features;
 pub mod indexing;
 pub mod metrics;
 pub mod model;
+pub mod par;
 pub mod sample;
 pub mod trainer;
 

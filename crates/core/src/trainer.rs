@@ -31,13 +31,14 @@ use crate::batch::BatchedScenario;
 use crate::checkpoint::{CheckpointError, TrainState};
 use crate::features::Normalizer;
 use crate::model::{CompiledScenario, RouteNet};
+use crate::par;
 use crate::sample::Sample;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use routenet_faults::FsHandle;
 use routenet_nn::optim::{clip_global_norm, Adam};
-use routenet_nn::{GradAccumulator, Session, Tape, Tensor};
+use routenet_nn::{GradAccumulator, Session, Tape, Tensor, Var};
 use routenet_obs::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -371,17 +372,6 @@ fn compile_items(
 /// One sample's loss value and parameter gradients.
 type SampleGrad = (f64, Vec<(routenet_nn::ParamId, Tensor)>);
 
-/// Resolve a `threads` config value to a concrete worker count.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
 /// Row-concatenate the column weights and targets of `sub`'s items, in
 /// order — the loss-side counterpart of [`BatchedScenario::pack`].
 fn stack_loss_tensors(items: &[Item], sub: &[usize]) -> (Arc<Tensor>, Tensor) {
@@ -411,144 +401,69 @@ fn stack_loss_tensors(items: &[Item], sub: &[usize]) -> (Arc<Tensor>, Tensor) {
     )
 }
 
-/// One packed forward/backward over the items selected by `sub`, on an
-/// arena-reused tape. A non-finite loss or gradient is returned as-is (the
-/// tape tracks poisoning instead of asserting); the epoch loop treats it as
-/// divergence and rolls back to the last good state. Returns per-sample
-/// `(loss, grads)` in `sub` order — each entry independent of what else is
-/// packed with it — plus the tape for the next pass.
+/// Pack the items selected by `sub` into one [`BatchedScenario`], run the
+/// batched forward on `sess` and return the weighted per-sample loss node
+/// with its values: row `s` is the loss of `sub[s]`, independent of what
+/// else is packed with it.
+fn packed_sub_loss(
+    model: &RouteNet,
+    items: &[Item],
+    sub: &[usize],
+    sess: &mut Session,
+) -> (Var, Vec<f64>) {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sub indices are minted from 0..items.len() by the batch scheduler"
+    )]
+    let compiled: Vec<&CompiledScenario> = sub.iter().map(|&i| &items[i].compiled).collect();
+    let batch = BatchedScenario::pack(&compiled);
+    let (weights, targets) = stack_loss_tensors(items, sub);
+    let out = model.forward_batch(sess, &batch);
+    let weighted = sess.tape.mul_const_shared(out, &weights);
+    let seg_loss = sess.tape.seg_mse(weighted, &targets, batch.path_seg());
+    let losses = (0..sub.len())
+        .map(|s| sess.tape.value(seg_loss).get(s, 0))
+        .collect();
+    (seg_loss, losses)
+}
+
+/// One packed forward/backward over the items selected by `sub`, replayed
+/// into the arena tape `arena`. A non-finite loss or gradient is returned
+/// as-is (the tape tracks poisoning instead of asserting); the epoch loop
+/// treats it as divergence and rolls back to the last good state. Returns
+/// per-sample `(loss, grads)` in `sub` order.
 fn batched_sub_losses(
     model: &RouteNet,
     items: &[Item],
     sub: &[usize],
-    arena: Tape,
-) -> (Vec<SampleGrad>, Tape) {
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "sub indices are minted from 0..items.len() by the batch scheduler"
-    )]
-    let compiled: Vec<&CompiledScenario> = sub.iter().map(|&i| &items[i].compiled).collect();
-    let batch = BatchedScenario::pack(&compiled);
-    let (weights, targets) = stack_loss_tensors(items, sub);
-    let mut sess = Session::with_tape(model.store(), arena);
-    let out = model.forward_batch(&mut sess, &batch);
-    let weighted = sess.tape.mul_const_shared(out, &weights);
-    let seg_loss = sess.tape.seg_mse(weighted, &targets, batch.path_seg());
+    arena: &mut Tape,
+) -> Vec<SampleGrad> {
+    let mut sess = Session::with_tape(model.store(), std::mem::take(arena));
+    let (seg_loss, losses) = packed_sub_loss(model, items, sub, &mut sess);
     let total = sess.tape.sum_all(seg_loss);
-    let losses: Vec<f64> = (0..sub.len())
-        .map(|s| sess.tape.value(seg_loss).get(s, 0))
-        .collect();
     let grads = sess.tape.backward(total);
     let per_sample = sess.param_grads_seg(&grads, sub.len());
-    let out: Vec<SampleGrad> = losses.into_iter().zip(per_sample).collect();
-    (out, sess.into_tape())
+    *arena = sess.into_tape();
+    losses.into_iter().zip(per_sample).collect()
 }
 
-/// Forward-only variant of [`batched_sub_losses`] for validation scoring:
-/// per-sample loss values in `sub` order, no gradients, no backward pass.
-fn batched_sub_loss_values(
-    model: &RouteNet,
-    items: &[Item],
-    sub: &[usize],
-    arena: Tape,
-) -> (Vec<f64>, Tape) {
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "sub indices are minted from 0..items.len() by the batch scheduler"
-    )]
-    let compiled: Vec<&CompiledScenario> = sub.iter().map(|&i| &items[i].compiled).collect();
-    let batch = BatchedScenario::pack(&compiled);
-    let (weights, targets) = stack_loss_tensors(items, sub);
-    let mut sess = Session::with_tape(model.store(), arena);
-    let out = model.forward_batch(&mut sess, &batch);
-    let weighted = sess.tape.mul_const_shared(out, &weights);
-    let seg_loss = sess.tape.seg_mse(weighted, &targets, batch.path_seg());
-    let losses: Vec<f64> = (0..sub.len())
-        .map(|s| sess.tape.value(seg_loss).get(s, 0))
-        .collect();
-    (losses, sess.into_tape())
-}
-
-/// Per-item loss values for all of `items` in index order, computed in
-/// packed chunks of `batch_size` on one arena-reused tape.
+/// Forward-only per-item loss values for all of `items` in index order,
+/// computed in packed chunks of `batch_size` on the arena tape `arena`.
 fn batched_loss_values(
     model: &RouteNet,
     items: &[Item],
     batch_size: usize,
-    arena: Tape,
-) -> (Vec<f64>, Tape) {
+    arena: &mut Tape,
+) -> Vec<f64> {
     let idx: Vec<usize> = (0..items.len()).collect();
     let mut out = Vec::with_capacity(items.len());
-    let mut arena = arena;
     for sub in idx.chunks(batch_size.max(1)) {
-        let (losses, returned) = batched_sub_loss_values(model, items, sub, arena);
-        arena = returned;
+        let mut sess = Session::with_tape(model.store(), std::mem::take(arena));
+        let (_, losses) = packed_sub_loss(model, items, sub, &mut sess);
+        *arena = sess.into_tape();
         out.extend_from_slice(&losses);
     }
-    (out, arena)
-}
-
-/// Per-sample losses and gradients for `chunk`, computed on up to `threads`
-/// workers. Worker `w` packs its strided share of `chunk` (indices w,
-/// w+workers, ...) into one [`BatchedScenario`] and runs a single
-/// forward/backward over it on its own arena tape — a deterministic
-/// assignment (DESIGN.md "Parallelism safety contract"). The sequential
-/// interleave restores `chunk` order, so the downstream reduction is
-/// byte-identical at any thread count.
-#[expect(
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    reason = "worker w holds exactly the indices k with k % workers == w, so each next() yields"
-)]
-fn minibatch_losses(
-    model: &RouteNet,
-    items: &[Item],
-    chunk: &[usize],
-    threads: usize,
-    arenas: &mut [Tape],
-) -> Vec<SampleGrad> {
-    let workers = resolve_threads(threads).min(chunk.len()).min(arenas.len());
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "train_with_control sizes arenas to at least one slot"
-    )]
-    if workers <= 1 {
-        let arena = std::mem::take(&mut arenas[0]);
-        let (out, returned) = batched_sub_losses(model, items, chunk, arena);
-        arenas[0] = returned;
-        return out;
-    }
-    // Each worker owns its arena for the duration of the scope and returns
-    // it through the join handle; the slots are refilled sequentially after
-    // the join so no spawned closure writes shared state.
-    #[expect(
-        clippy::expect_used,
-        reason = "worker panics are programming errors; propagating them is the intent"
-    )]
-    let results: Vec<(Vec<SampleGrad>, Tape)> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (w, slot) in arenas.iter_mut().take(workers).enumerate() {
-            let arena = std::mem::take(slot);
-            handles.push(scope.spawn(move |_| {
-                let sub: Vec<usize> = chunk.iter().copied().skip(w).step_by(workers).collect();
-                batched_sub_losses(model, items, &sub, arena)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("training workers do not panic"))
-            .collect()
-    })
-    .expect("training scope joins cleanly");
-    let mut parts = Vec::with_capacity(workers);
-    for ((out, returned), slot) in results.into_iter().zip(arenas.iter_mut()) {
-        *slot = returned;
-        parts.push(out);
-    }
-    let mut iters: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
-    (0..chunk.len())
-        .map(|k| iters[k % workers].next().expect("stride invariant"))
-        .collect()
+    out
 }
 
 fn validate_config(cfg: &TrainConfig) -> Result<(), TrainError> {
@@ -766,9 +681,10 @@ pub fn train_with_control(
     // passes, all owned here so their buffer pools persist across batches
     // and epochs — after the first pass forward values come from the pool;
     // backward partials are still allocated per pass, and
-    // `tests/alloc_counts.rs` pins the count per epoch. Workers take their
-    // tape by slot, so the arena a sub-batch replays into is deterministic.
-    let mut arenas: Vec<Tape> = (0..resolve_threads(cfg.threads).max(1))
+    // `tests/alloc_counts.rs` pins the count per epoch. Worker `w` of
+    // `par::strided_map` replays into `arenas[w]`, so the arena a sub-batch
+    // replays into is deterministic.
+    let mut arenas: Vec<Tape> = (0..par::resolve_threads(cfg.threads))
         .map(|_| Tape::new())
         .collect();
     let mut eval_arena = Tape::new();
@@ -778,13 +694,7 @@ pub fn train_with_control(
     // the training set at the initial parameters.
     let mut spike_ref: Option<f64> = state.epochs.last().map(|e| e.train_loss);
     if spike_ref.is_none() && cfg.max_spike_factor.is_some() {
-        let (losses, returned) = batched_loss_values(
-            model,
-            &train_items,
-            cfg.batch_size,
-            std::mem::take(&mut eval_arena),
-        );
-        eval_arena = returned;
+        let losses = batched_loss_values(model, &train_items, cfg.batch_size, &mut eval_arena);
         spike_ref = Some(losses.iter().sum::<f64>() / train_items.len() as f64);
     }
 
@@ -812,7 +722,13 @@ pub fn train_with_control(
             }
             let mut acc = GradAccumulator::new(model.store());
             let mut batch_loss = 0.0;
-            for (l, pg) in minibatch_losses(model, &train_items, chunk, cfg.threads, &mut arenas) {
+            // Worker w packs its strided share of the chunk into one
+            // forward/backward; the results come back in chunk order, so
+            // the reduction below is byte-identical at any thread count.
+            let per_sample = par::strided_map(chunk, &mut arenas, |sub, arena| {
+                batched_sub_losses(model, &train_items, sub, arena)
+            });
+            for (l, pg) in per_sample {
                 batch_loss += l;
                 acc.add(&pg);
             }
@@ -844,13 +760,7 @@ pub fn train_with_control(
         let val_loss = if diverged.is_some() || val_items.is_empty() {
             None
         } else {
-            let (losses, returned) = batched_loss_values(
-                model,
-                &val_items,
-                cfg.batch_size,
-                std::mem::take(&mut eval_arena),
-            );
-            eval_arena = returned;
+            let losses = batched_loss_values(model, &val_items, cfg.batch_size, &mut eval_arena);
             Some(losses.iter().sum::<f64>() / val_items.len() as f64)
         };
         if diverged.is_none() {
@@ -1138,7 +1048,7 @@ mod tests {
         let report = train(&mut model, &data[..6], &data[6..], &cfg).unwrap();
         // The restored parameters must reproduce the best validation loss.
         let items = compile_items(&model, &data[6..], cfg.jitter_weight, cfg.drop_weight);
-        let (losses, _) = batched_loss_values(&model, &items, cfg.batch_size, Tape::new());
+        let losses = batched_loss_values(&model, &items, cfg.batch_size, &mut Tape::new());
         let val = losses.iter().sum::<f64>() / items.len() as f64;
         assert!(
             (val - report.best_loss).abs() < 1e-9,

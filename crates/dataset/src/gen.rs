@@ -7,6 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use routenet_core::par;
 use routenet_core::sample::{Sample, Scenario, TargetKpi};
 use routenet_netgraph::routing::{
     destination_based_routing, k_path_random_routing, randomized_routing, shortest_path_routing,
@@ -235,17 +236,10 @@ pub fn generate_sample(cfg: &GenConfig, i: usize) -> Sample {
     sample
 }
 
-/// Generate a full dataset, parallelized over samples with crossbeam scoped
-/// threads. Output order is by sample index (deterministic).
+/// Generate a full dataset on one worker per available core. Output order
+/// is by sample index, and the bytes are the same at any worker count.
 pub fn generate_dataset(cfg: &GenConfig) -> Vec<Sample> {
-    generate_dataset_with_threads(cfg, num_threads())
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16)
+    generate_dataset_with_threads(cfg, 0)
 }
 
 /// [`generate_sample`] wrapped in a per-sample wall-clock measurement.
@@ -265,70 +259,25 @@ fn generate_sample_timed(cfg: &GenConfig, i: usize) -> (Sample, f64) {
     }
 }
 
-/// Generate with an explicit worker count (1 = sequential, used in tests).
+/// Generate with an explicit thread count: 0 means one worker per
+/// available core, 1 runs on the caller's thread. Worker `w` of `W`
+/// generates the sample indices `w, w + W, …` (each sample seeds its own RNG
+/// from `base_seed + i`) and [`par::strided_map`] returns them in index
+/// order, so the output is byte-identical at any thread count.
 ///
 /// When `cfg.sim.telemetry` is enabled, each sample's generation time is
 /// recorded (the handle is stripped from the per-sample simulator calls,
 /// see [`generate_sample`]) and one [`Event::DatasetGen`] aggregate is
 /// emitted per call.
-pub fn generate_dataset_with_threads(cfg: &GenConfig, workers: usize) -> Vec<Sample> {
-    assert!(workers >= 1);
+pub fn generate_dataset_with_threads(cfg: &GenConfig, threads: usize) -> Vec<Sample> {
     let tel = &cfg.sim.telemetry;
     let run_t0 = tel.enabled().then(Instant::now);
-    let (samples, sample_times, effective_workers) = if workers == 1 || cfg.n_samples <= 1 {
-        let mut times = Vec::with_capacity(cfg.n_samples);
-        let samples = (0..cfg.n_samples)
-            .map(|i| {
-                let (s, dt) = generate_sample_timed(cfg, i);
-                times.push(dt);
-                s
-            })
-            .collect();
-        (samples, times, 1)
-    } else {
-        // Blessed indexed write-slot pattern (DESIGN.md "Parallelism safety
-        // contract"): worker `w` generates the strided sample indices w,
-        // w+workers, ... into its own Vec (each sample still seeds its own
-        // RNG from `base_seed + i`), and the sequential interleave below
-        // restores index order — byte-identical output at any worker count.
-        #[expect(
-            clippy::expect_used,
-            reason = "worker panics are programming errors; propagating them is the intent"
-        )]
-        let parts: Vec<Vec<(Sample, f64)>> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                handles.push(scope.spawn(move |_| {
-                    let mut part = Vec::with_capacity(cfg.n_samples.div_ceil(workers));
-                    let mut i = w;
-                    while i < cfg.n_samples {
-                        part.push(generate_sample_timed(cfg, i));
-                        i += workers;
-                    }
-                    part
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker threads do not panic"))
-                .collect()
-        })
-        .expect("generation scope joins cleanly");
-        let mut iters: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
-        let mut times = Vec::with_capacity(cfg.n_samples);
-        let samples = (0..cfg.n_samples)
-            .map(|i| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "worker w holds exactly the indices i with i % workers == w, so each next() yields"
-                )]
-                let (s, dt) = iters[i % workers].next().expect("stride invariant");
-                times.push(dt);
-                s
-            })
-            .collect();
-        (samples, times, workers)
-    };
+    let workers = par::resolve_threads(threads).min(cfg.n_samples).max(1);
+    let indices: Vec<usize> = (0..cfg.n_samples).collect();
+    let timed = par::strided_map(&indices, &mut vec![(); workers], |sub, ()| {
+        sub.iter().map(|&i| generate_sample_timed(cfg, i)).collect()
+    });
+    let (samples, sample_times): (Vec<Sample>, Vec<f64>) = timed.into_iter().unzip();
     if let Some(t0) = run_t0 {
         let wall_s = t0.elapsed().as_secs_f64();
         let n = sample_times.len();
@@ -337,7 +286,7 @@ pub fn generate_dataset_with_threads(cfg: &GenConfig, workers: usize) -> Vec<Sam
         tel.emit(Event::DatasetGen {
             topology: cfg.topology.name(),
             samples: n,
-            workers: effective_workers,
+            workers,
             wall_s,
             mean_sample_s: if n > 0 { sum / n as f64 } else { 0.0 },
             max_sample_s: max,
@@ -440,17 +389,22 @@ mod tests {
         assert!(tel.histogram_summary("dataset.sample_s").is_some());
     }
 
+    /// The dataset's byte-identity contract at the generation site: every
+    /// sample's full JSON line is the same at 1, 2, 3 (an uneven split of
+    /// the 4 samples) and all-core (0) workers.
     #[test]
     fn parallel_equals_sequential() {
         let cfg = tiny_cfg();
-        let seq = generate_dataset_with_threads(&cfg, 1);
-        let par = generate_dataset_with_threads(&cfg, 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.seed, b.seed);
-            for (x, y) in a.targets.iter().zip(&b.targets) {
-                assert_eq!(x.delay_s, y.delay_s);
-            }
+        let lines = |threads: usize| -> Vec<String> {
+            generate_dataset_with_threads(&cfg, threads)
+                .iter()
+                .map(|s| serde_json::to_string(s).unwrap())
+                .collect()
+        };
+        let seq = lines(1);
+        assert_eq!(seq.len(), 4);
+        for threads in [2, 3, 0] {
+            assert_eq!(lines(threads), seq, "{threads} worker(s)");
         }
     }
 

@@ -110,6 +110,63 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// Reject a window, packet size, distribution or buffer the simulator
+    /// cannot run: a non-finite or non-positive `duration_s`, a `warmup_s`
+    /// outside `[0, duration_s)`, and so on. [`simulate`] calls it first, so
+    /// a front-end can call it before it creates any output.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
+            return Err(SimError::BadConfig(format!(
+                "duration_s = {}",
+                self.duration_s
+            )));
+        }
+        if !(self.warmup_s.is_finite() && self.warmup_s >= 0.0 && self.warmup_s < self.duration_s) {
+            return Err(SimError::BadConfig(format!(
+                "warmup_s = {} (duration {})",
+                self.warmup_s, self.duration_s
+            )));
+        }
+        if !(self.mean_pkt_size_bits.is_finite() && self.mean_pkt_size_bits > 0.0) {
+            return Err(SimError::BadConfig(format!(
+                "mean_pkt_size_bits = {}",
+                self.mean_pkt_size_bits
+            )));
+        }
+        if let SizeDistribution::Bimodal {
+            p_small,
+            small_frac,
+        } = self.size_dist
+        {
+            if !(0.0..1.0).contains(&p_small) || !(0.0..1.0).contains(&small_frac) {
+                return Err(SimError::BadConfig(format!(
+                    "bimodal p_small={p_small} small_frac={small_frac}"
+                )));
+            }
+        }
+        if let ArrivalProcess::OnOff {
+            on_mean_s,
+            off_mean_s,
+        } = self.arrivals
+        {
+            if !(on_mean_s > 0.0
+                && off_mean_s >= 0.0
+                && on_mean_s.is_finite()
+                && off_mean_s.is_finite())
+            {
+                return Err(SimError::BadConfig(format!(
+                    "onoff on={on_mean_s} off={off_mean_s}"
+                )));
+            }
+        }
+        if self.buffer_pkts == Some(0) {
+            return Err(SimError::BadConfig("buffer_pkts = 0".into()));
+        }
+        Ok(())
+    }
+}
+
 /// Simulation error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
@@ -250,7 +307,7 @@ pub fn simulate(
     tm: &TrafficMatrix,
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    validate_config(cfg)?;
+    cfg.validate()?;
     if tm.n_nodes() != g.n_nodes() {
         return Err(SimError::SizeMismatch {
             graph_nodes: g.n_nodes(),
@@ -260,7 +317,10 @@ pub fn simulate(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     let mut flows: Vec<Flow> = Vec::new();
-    debug_assert!(cfg.mean_pkt_size_bits > 0.0, "validate_config invariant");
+    debug_assert!(
+        cfg.mean_pkt_size_bits > 0.0,
+        "SimConfig::validate invariant"
+    );
     for (s, d, demand) in tm.entries() {
         if demand > 0.0 {
             flows.push(Flow {
@@ -553,57 +613,6 @@ pub fn simulate(
     })
 }
 
-fn validate_config(cfg: &SimConfig) -> Result<(), SimError> {
-    if !(cfg.duration_s.is_finite() && cfg.duration_s > 0.0) {
-        return Err(SimError::BadConfig(format!(
-            "duration_s = {}",
-            cfg.duration_s
-        )));
-    }
-    if !(cfg.warmup_s.is_finite() && cfg.warmup_s >= 0.0 && cfg.warmup_s < cfg.duration_s) {
-        return Err(SimError::BadConfig(format!(
-            "warmup_s = {} (duration {})",
-            cfg.warmup_s, cfg.duration_s
-        )));
-    }
-    if !(cfg.mean_pkt_size_bits.is_finite() && cfg.mean_pkt_size_bits > 0.0) {
-        return Err(SimError::BadConfig(format!(
-            "mean_pkt_size_bits = {}",
-            cfg.mean_pkt_size_bits
-        )));
-    }
-    if let SizeDistribution::Bimodal {
-        p_small,
-        small_frac,
-    } = cfg.size_dist
-    {
-        if !(0.0..1.0).contains(&p_small) || !(0.0..1.0).contains(&small_frac) {
-            return Err(SimError::BadConfig(format!(
-                "bimodal p_small={p_small} small_frac={small_frac}"
-            )));
-        }
-    }
-    if let ArrivalProcess::OnOff {
-        on_mean_s,
-        off_mean_s,
-    } = cfg.arrivals
-    {
-        if !(on_mean_s > 0.0
-            && off_mean_s >= 0.0
-            && on_mean_s.is_finite()
-            && off_mean_s.is_finite())
-        {
-            return Err(SimError::BadConfig(format!(
-                "onoff on={on_mean_s} off={off_mean_s}"
-            )));
-        }
-    }
-    if cfg.buffer_pkts == Some(0) {
-        return Err(SimError::BadConfig("buffer_pkts = 0".into()));
-    }
-    Ok(())
-}
-
 fn exp_sample<R: Rng>(rate: f64, rng: &mut R) -> f64 {
     debug_assert!(rate > 0.0);
     let u: f64 = rng.gen();
@@ -617,7 +626,7 @@ fn exp_sample<R: Rng>(rate: f64, rng: &mut R) -> f64 {
 
 fn sample_size<R: Rng>(cfg: &SimConfig, rng: &mut R) -> f64 {
     let mean = cfg.mean_pkt_size_bits;
-    debug_assert!(mean > 0.0, "validate_config invariant");
+    debug_assert!(mean > 0.0, "SimConfig::validate invariant");
     match cfg.size_dist {
         SizeDistribution::Exponential => exp_sample(1.0 / mean, rng),
         SizeDistribution::Deterministic => mean,
@@ -627,7 +636,7 @@ fn sample_size<R: Rng>(cfg: &SimConfig, rng: &mut R) -> f64 {
         } => {
             let small = small_frac * mean;
             let p_large = 1.0 - p_small;
-            debug_assert!(p_large > 0.0, "validate_config bounds p_small below 1");
+            debug_assert!(p_large > 0.0, "SimConfig::validate bounds p_small below 1");
             let large = (mean - p_small * small) / p_large;
             if rng.gen::<f64>() < p_small {
                 small
@@ -651,7 +660,7 @@ fn next_arrival_time<R: Rng>(now: f64, f: &mut Flow, proc: &ArrivalProcess, rng:
             // Rate during ON chosen so the long-run average equals rate_pps.
             debug_assert!(
                 on_mean_s > 0.0 && off_mean_s >= 0.0,
-                "validate_config invariant"
+                "SimConfig::validate invariant"
             );
             let duty = on_mean_s / (on_mean_s + off_mean_s);
             debug_assert!(duty > 0.0);

@@ -56,7 +56,7 @@ LIBRARY_LINTS=(
     -D clippy::iter_over_hash_type      # RN101 determinism
     -D clippy::let_underscore_must_use  # RN102 error-discard
     -D clippy::unused_result_ok
-    -D clippy::disallowed_methods       # RN101 determinism, RN301 io-seam
+    -D clippy::disallowed_methods       # RN101 determinism, RN202/RN203 one parallel region, RN301 io-seam
     -D clippy::disallowed_types         # RN301 io-seam
 )
 step "cargo clippy --lib (library lint policy)"
@@ -67,11 +67,14 @@ if [[ "$QUICK" -eq 0 ]]; then
 fi
 
 # The analyzer checks what clippy cannot: NaN-unsound comparisons, unchecked
-# invariants, locking in hot loops, parallel determinism, and unit/NaN
+# invariants, locking in hot loops, relaxed publication, and unit/NaN
 # dataflow (rule table in CONTRIBUTING.md). Racing writes in parallel code
-# are the borrow checker's (`unsafe_code` is denied workspace-wide) and
-# hot-loop allocation is measured by tests/alloc_counts.rs, the two checks
-# that replaced RN201 and RN103. Every finding fails the
+# are the borrow checker's (`unsafe_code` is denied workspace-wide; it
+# replaced RN201), hot-loop allocation is measured by tests/alloc_counts.rs
+# (RN103), and parallel determinism rests on one scoped-thread helper,
+# routenet_core::par::strided_map, that the library clippy step above keeps
+# the only parallel region, plus the 1-vs-N byte-identity tests in the
+# workspace test step (RN202, RN203). Every finding fails the
 # gate, so the rule registry alone decides what blocks CI. --quick runs the
 # same whole-workspace scan: the call graph and unit environment span the
 # whole tree either way.
