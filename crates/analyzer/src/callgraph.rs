@@ -14,7 +14,10 @@
 //!    function body, resolved by name against the symbol table. Name-based
 //!    resolution is deliberately conservative: an ambiguous name unions the
 //!    effects of every candidate, so the rule over-approximates rather than
-//!    misses a hazard.
+//!    misses a hazard. A function in a binary target (`src/main.rs`,
+//!    `src/bin/*.rs`) is only a candidate for calls from its own file: no
+//!    other crate or file can call it, so `rng.gen()` in a library never
+//!    reaches a binary's `fn gen`.
 //! 3. **Effect inference**: whether each body acquires a lock (`.lock(..)`),
 //!    then a fixed-point pass that propagates it through resolved calls.
 //!
@@ -61,20 +64,6 @@ const UNRESOLVABLE_NAMES: &[&str] = &[
     "drop",
 ];
 
-/// `rand` trait methods. `rng.gen(..)` is a draw, never a call into a
-/// workspace function of the same name (a binary's `gen` helper, say), so
-/// method calls by these names are not linked.
-const RAND_METHODS: &[&str] = &[
-    "gen",
-    "gen_range",
-    "gen_bool",
-    "sample",
-    "shuffle",
-    "choose",
-    "choose_multiple",
-    "fill",
-];
-
 impl CallGraph {
     /// Build the graph over `(workspace-relative path, source text)` pairs.
     /// Files are processed in the given order; the node list is then sorted,
@@ -95,20 +84,24 @@ impl CallGraph {
         &self.nodes
     }
 
-    /// Indices of every node matching `name` (simple or `Type::name`).
-    fn candidates(&self, name: &str) -> Vec<usize> {
+    /// Indices of every node matching `name` (simple or `Type::name`) that
+    /// a call in file `from` can reach: functions of binary targets only
+    /// from their own file.
+    fn candidates(&self, from: &str, name: &str) -> Vec<usize> {
         self.nodes
             .iter()
             .enumerate()
             .filter(|(_, n)| n.name == name || n.qualified.as_deref() == Some(name))
+            .filter(|(_, n)| n.file == from || !is_binary_target(&n.file))
             .map(|(i, _)| i)
             .collect()
     }
 
-    /// Does any function matching `name` acquire a lock, transitively?
-    /// Unknown names resolve to `false`: the graph only ever adds evidence.
-    pub fn lock_effect(&self, name: &str) -> bool {
-        self.candidates(name)
+    /// Does any function matching `name`, called from file `from`, acquire
+    /// a lock, transitively? Unknown names resolve to `false`: the graph
+    /// only ever adds evidence.
+    pub fn lock_effect(&self, from: &str, name: &str) -> bool {
+        self.candidates(from, name)
             .iter()
             .any(|&i| self.nodes[i].lock_effect)
     }
@@ -124,8 +117,9 @@ impl CallGraph {
                 if self.nodes[i].lock_effect {
                     continue;
                 }
+                let from = &self.nodes[i].file;
                 let lock = self.nodes[i].calls.iter().any(|callee| {
-                    self.candidates(callee)
+                    self.candidates(from, callee)
                         .iter()
                         .any(|&j| self.nodes[j].lock_effect)
                 });
@@ -139,6 +133,16 @@ impl CallGraph {
             }
         }
     }
+}
+
+/// Is `rel` the root of a binary target (`src/main.rs`, `src/bin/..`)?
+/// Nothing outside such a file can call the functions it defines.
+fn is_binary_target(rel: &str) -> bool {
+    let rel = rel.strip_prefix("./").unwrap_or(rel);
+    rel == "src/main.rs"
+        || rel.ends_with("/src/main.rs")
+        || rel.starts_with("src/bin/")
+        || rel.contains("/src/bin/")
 }
 
 /// Lex one file and append its function nodes.
@@ -243,9 +247,7 @@ fn call_sites(body: &[Token]) -> Vec<String> {
                     push(t.text.clone());
                 }
             }
-            Some(".")
-                if UNRESOLVABLE_NAMES.contains(&t.text.as_str())
-                    || RAND_METHODS.contains(&t.text.as_str()) => {}
+            Some(".") if UNRESOLVABLE_NAMES.contains(&t.text.as_str()) => {}
             _ => {
                 if !UNRESOLVABLE_NAMES.contains(&t.text.as_str()) {
                     push(t.text.clone());
@@ -285,8 +287,8 @@ mod tests {
             ("b.rs", "pub fn wrapper(s: &S) { record(s) }"),
             ("c.rs", "pub fn outer(s: &S) { wrapper(s) }"),
         ]);
-        assert!(g.lock_effect("outer"));
-        assert!(!g.lock_effect("unheard_of"));
+        assert!(g.lock_effect("d.rs", "outer"));
+        assert!(!g.lock_effect("d.rs", "unheard_of"));
     }
 
     #[test]
@@ -294,9 +296,9 @@ mod tests {
         let src = "struct S;\nimpl S {\n fn read(&self) -> f64 { let g = self.m.lock(); g }\n}\n\
                    fn use_it(s: &S) -> f64 { s.read() }";
         let g = graph_of(&[("a.rs", src)]);
-        assert!(g.lock_effect("read"));
-        assert!(g.lock_effect("S::read"));
-        assert!(g.lock_effect("use_it"));
+        assert!(g.lock_effect("a.rs", "read"));
+        assert!(g.lock_effect("a.rs", "S::read"));
+        assert!(g.lock_effect("a.rs", "use_it"));
     }
 
     #[test]
@@ -304,7 +306,7 @@ mod tests {
         let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n fn fake(m: &M) { m.lock(); }\n}";
         let g = graph_of(&[("a.rs", src)]);
         assert_eq!(g.nodes().len(), 1);
-        assert!(!g.lock_effect("fake"));
+        assert!(!g.lock_effect("a.rs", "fake"));
     }
 
     #[test]
@@ -313,8 +315,11 @@ mod tests {
                    fn a() { let r = Pool::new(1); }\n\
                    fn b() { let v = Vec::new(); }";
         let g = graph_of(&[("a.rs", src)]);
-        assert!(g.lock_effect("a"), "qualified Pool::new resolves");
-        assert!(!g.lock_effect("b"), "Vec::new does not hit Pool::new");
+        assert!(g.lock_effect("a.rs", "a"), "qualified Pool::new resolves");
+        assert!(
+            !g.lock_effect("a.rs", "b"),
+            "Vec::new does not hit Pool::new"
+        );
     }
 
     #[test]
@@ -332,6 +337,33 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(names(&fwd), names(&rev));
-        assert!(fwd.lock_effect("f"));
+        assert!(fwd.lock_effect("c.rs", "f"));
+    }
+
+    #[test]
+    fn binary_target_fns_link_only_within_their_file() {
+        let bin = "crates/bench/src/bin/drops.rs";
+        let g = graph_of(&[
+            (
+                "crates/simnet/src/sim.rs",
+                "fn draw(rng: &mut R) -> f64 { rng.gen() }",
+            ),
+            (
+                bin,
+                "fn gen(s: &S) -> f64 { *s.m.lock() }\nfn main() { let s = S; gen(&s); }",
+            ),
+        ]);
+        assert!(
+            !g.lock_effect("crates/simnet/src/sim.rs", "draw"),
+            "rng.gen() in a library must not reach the binary's fn gen"
+        );
+        assert!(!g.lock_effect("crates/simnet/src/sim.rs", "gen"));
+        assert!(
+            g.lock_effect(bin, "main"),
+            "the binary's own calls still link"
+        );
+        assert!(is_binary_target("src/main.rs"));
+        assert!(is_binary_target("crates/analyzer/src/main.rs"));
+        assert!(!is_binary_target("crates/bench/src/lib.rs"));
     }
 }

@@ -66,7 +66,7 @@ fn hot_loop_lock_rule(
             let is_call = matches!(tokens.get(i + 1), Some(p) if p.text == "(")
                 && (i == 0 || tokens[i - 1].text != "fn")
                 && (i == 0 || tokens[i - 1].text != ".");
-            if is_call && g.lock_effect(&t.text) && !flagged.contains(&t.line) {
+            if is_call && g.lock_effect(file, &t.text) && !flagged.contains(&t.line) {
                 flagged.push(t.line);
                 out.push(Diagnostic::new(
                     "hot-loop-lock",

@@ -109,7 +109,9 @@ pub enum Event {
         packets_delivered: u64,
         /// Measured packets dropped at full buffers.
         packets_dropped: u64,
-        /// High-water mark of the event heap (peak pending events).
+        /// Most events queued in the event heap at once. Events the loop
+        /// handles without queuing (a packet's first hop when nothing else
+        /// is due at that instant, its delivery) never count.
         heap_high_water: usize,
         /// Wall-clock duration of the run, seconds.
         wall_s: f64,

@@ -29,7 +29,7 @@ use routenet_netgraph::{Graph, LinkId, NodeId, RoutingScheme, TrafficMatrix};
 use routenet_obs::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Instant;
 
 /// Packet-size distribution (mean fixed by `SimConfig::mean_pkt_size_bits`).
@@ -87,10 +87,10 @@ pub struct SimConfig {
     /// RNG seed; equal seeds give bit-identical results.
     pub seed: u64,
     /// Telemetry handle: when enabled, each run emits one
-    /// [`Event::SimRun`] with cost metrics (events/s, packet counts, heap
-    /// high-water mark, wall-clock). Never serialized (`#[serde(skip)]`)
-    /// and never consulted inside the event loop — the per-event counters
-    /// aggregate locally and flush once at run end.
+    /// [`Event::SimRun`] with cost metrics (events/s, packet counts, the
+    /// most events queued at once, wall-clock). Never serialized
+    /// (`#[serde(skip)]`) and never consulted inside the event loop — the
+    /// per-event counters aggregate locally and flush once at run end.
     #[serde(skip)]
     pub telemetry: Telemetry,
 }
@@ -198,49 +198,70 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Totally ordered finite f64 for the event heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Time(f64);
-
-impl Eq for Time {}
-
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // total_cmp needs no panic path; event times are kept finite by the
-        // debug_assert at every push, and a hypothetical NaN would sort at a
-        // fixed position instead of corrupting the heap.
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
+/// One pending event, 24 bytes: the `(time, seq)` key and what it is for.
+///
+/// `time` holds the event time's raw `f64` bits. Every event time is finite
+/// and at least +0.0 (see [`HeapEvent::new`]), and for such values the bits
+/// order exactly like the numbers, so the key compares as two integers.
 #[derive(Debug, Clone, Copy)]
-enum EventKind {
-    /// Generate the next packet of `flow` and schedule its successor.
-    SourceArrival { flow: u32 },
-    /// A packet reaches the queue of `path[hop]` of its flow.
-    HopArrive {
-        flow: u32,
-        hop: u16,
-        size_bits: f64,
-        gen_time: f64,
-    },
+struct HeapEvent {
+    time: u64,
+    /// Insertion sequence: the tie-break between equal times.
+    seq: u64,
+    /// `flow << 1` for a flow's next source arrival, `slot << 1 | 1` for the
+    /// packet in that [`Slab`] slot reaching its next hop.
+    id: u64,
 }
 
-struct HeapEvent {
-    time: Time,
-    seq: u64,
-    kind: EventKind,
+/// What a [`HeapEvent`] is for.
+enum Target {
+    /// Generate the next packet of this flow and schedule its successor.
+    Source(usize),
+    /// The packet in this slab slot reaches the queue of its next hop.
+    Packet(usize),
+}
+
+impl HeapEvent {
+    fn new(time: f64, seq: u64, id: u64) -> Self {
+        // INVARIANT: event times start at +0.0 and only ever add finite
+        // non-negative amounts (validated link delays, service times,
+        // inter-arrival gaps), so -0.0, NaN and infinities cannot arise.
+        debug_assert!(
+            time.is_finite() && time.is_sign_positive(),
+            "event time {time} breaks the integer key order"
+        );
+        HeapEvent {
+            time: time.to_bits(),
+            seq,
+            id,
+        }
+    }
+
+    fn source(time: f64, seq: u64, flow: usize) -> Self {
+        Self::new(time, seq, (flow as u64) << 1)
+    }
+
+    fn packet(time: f64, seq: u64, slot: usize) -> Self {
+        Self::new(time, seq, (slot as u64) << 1 | 1)
+    }
+
+    fn time(&self) -> f64 {
+        f64::from_bits(self.time)
+    }
+
+    fn target(&self) -> Target {
+        let index = (self.id >> 1) as usize;
+        if self.id & 1 == 0 {
+            Target::Source(index)
+        } else {
+            Target::Packet(index)
+        }
+    }
 }
 
 impl PartialEq for HeapEvent {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        (self.time, self.seq) == (other.time, other.seq)
     }
 }
 
@@ -250,16 +271,63 @@ impl Ord for HeapEvent {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: invert for earliest-first, tie-break on
         // insertion sequence for full determinism.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
 impl PartialOrd for HeapEvent {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// A packet in flight: its next event is reaching `path[hop]` of its flow.
+struct Packet {
+    flow: u32,
+    hop: u16,
+    size_bits: f64,
+    gen_time: f64,
+}
+
+/// In-flight packets, addressed by the slot in their event id. Freed slots
+/// are reused first, so the slab grows with the most packets in flight at
+/// once, not with the packets generated.
+#[derive(Default)]
+struct Slab {
+    packets: Vec<Packet>,
+    free: Vec<usize>,
+}
+
+impl Slab {
+    fn insert(&mut self, p: Packet) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "free only holds slots below packets.len()"
+                )]
+                let old = &mut self.packets[slot];
+                *old = p;
+                slot
+            }
+            None => {
+                self.packets.push(p);
+                self.packets.len() - 1
+            }
+        }
+    }
+
+    fn get_mut(&mut self, slot: usize) -> &mut Packet {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "events only carry slots returned by insert and not yet removed"
+        )]
+        let p = &mut self.packets[slot];
+        p
+    }
+
+    fn remove(&mut self, slot: usize) {
+        self.free.push(slot);
     }
 }
 
@@ -280,9 +348,11 @@ struct LinkState {
     prop_delay_s: f64,
     /// Completion time of the last scheduled service.
     busy_until: f64,
-    /// Scheduled departure times of queued/in-service packets (min-heap),
-    /// pruned lazily; length = current system occupancy.
-    departures: BinaryHeap<std::cmp::Reverse<Time>>,
+    /// Departure times of queued and in-service packets, oldest first,
+    /// pruned from the front; its length is the current occupancy. Kept only
+    /// with a finite buffer. A FIFO link's departures never decrease, so the
+    /// front is always the earliest.
+    departures: VecDeque<f64>,
     /// Accumulated busy (service) time clipped to the measurement window:
     /// each service interval contributes exactly its overlap with
     /// `[warmup_s, duration_s)`, so `busy_time_s / window <= 1` holds by
@@ -337,11 +407,12 @@ pub fn simulate(
     }
 
     // One validation pass up front makes every event-loop access infallible:
-    // flow ids fit the compact u32 event encoding, hop counters fit u16, and
-    // all path link ids resolve against this graph.
+    // flow ids fit the compact u32 packet encoding, hop counters fit u16,
+    // and every link on a path resolves against this graph with a capacity
+    // and a delay that keep event times finite and ordered.
     if u32::try_from(flows.len()).is_err() {
         return Err(SimError::BadConfig(format!(
-            "{} flows exceed the u32 event encoding",
+            "{} flows exceed the u32 packet encoding",
             flows.len()
         )));
     }
@@ -354,11 +425,25 @@ pub fn simulate(
                 f.path.len()
             )));
         }
-        if let Some(&lid) = f.path.iter().find(|l| l.0 >= g.n_links()) {
-            return Err(SimError::BadConfig(format!(
-                "routing path for {}->{} references {lid} outside the graph",
-                f.src, f.dst
-            )));
+        for &lid in &f.path {
+            let Ok(l) = g.link(lid) else {
+                return Err(SimError::BadConfig(format!(
+                    "routing path for {}->{} references {lid} outside the graph",
+                    f.src, f.dst
+                )));
+            };
+            if !(l.capacity_bps.is_finite() && l.capacity_bps > 0.0) {
+                return Err(SimError::BadConfig(format!(
+                    "{lid} on the path for {}->{} has capacity_bps = {}",
+                    f.src, f.dst, l.capacity_bps
+                )));
+            }
+            if !(l.prop_delay_s.is_finite() && l.prop_delay_s >= 0.0) {
+                return Err(SimError::BadConfig(format!(
+                    "{lid} on the path for {}->{} has prop_delay_s = {}",
+                    f.src, f.dst, l.prop_delay_s
+                )));
+            }
         }
     }
 
@@ -368,39 +453,25 @@ pub fn simulate(
             capacity_bps: l.capacity_bps,
             prop_delay_s: l.prop_delay_s,
             busy_until: 0.0,
-            departures: BinaryHeap::new(),
+            departures: VecDeque::new(),
             busy_time_s: 0.0,
             sojourn_time_s: 0.0,
             sojourn_count: 0,
         })
         .collect();
 
-    let mut heap: BinaryHeap<HeapEvent> = BinaryHeap::new();
+    // Events pop in `(time, seq)` order, each seq minted once from this
+    // counter (see DESIGN.md, "Simulator event order").
+    let mut heap: BinaryHeap<HeapEvent> = BinaryHeap::with_capacity(flows.len());
     let mut seq: u64 = 0;
-    let push = |heap: &mut BinaryHeap<HeapEvent>, seq: &mut u64, time: f64, kind: EventKind| {
-        debug_assert!(time.is_finite());
-        heap.push(HeapEvent {
-            time: Time(time),
-            seq: *seq,
-            kind,
-        });
-        *seq += 1;
-    };
+    let mut packets = Slab::default();
 
     // Initial arrivals.
     for (i, f) in flows.iter_mut().enumerate() {
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "flow count validated against u32::MAX above"
-        )]
         if f.rate_pps > 0.0 {
             let t = next_arrival_time(0.0, f, &cfg.arrivals, &mut rng);
-            push(
-                &mut heap,
-                &mut seq,
-                t,
-                EventKind::SourceArrival { flow: i as u32 },
-            );
+            heap.push(HeapEvent::source(t, seq, i));
+            seq += 1;
         }
     }
 
@@ -408,129 +479,92 @@ pub fn simulate(
     let mut total_packets: u64 = 0;
     // Telemetry cost metrics aggregate into plain locals: the event loop
     // never calls into the registry (overhead budget; `tests/alloc_counts.rs`
-    // pins that the loop does not allocate per event). The heap high-water
+    // pins that the loop does not allocate per event). The high-water
     // compare is unconditional — cheaper than a branch on the telemetry
     // handle and identical for every run.
-    let mut heap_high_water: usize = heap.len();
+    let mut heap_high_water: usize = 0;
     let wall_start = cfg.telemetry.enabled().then(Instant::now);
 
-    while let Some(HeapEvent {
-        time: Time(now),
-        kind,
-        ..
-    }) = heap.pop()
-    {
+    // Each event either overwrites the top of the heap with its follow-up
+    // (one sift-down) or, when it has none, pops it.
+    while let Some(&event) = heap.peek() {
+        heap_high_water = heap_high_water.max(heap.len());
+        let now = event.time();
         events_processed += 1;
-        heap_high_water = heap_high_water.max(heap.len() + 1);
-        match kind {
-            EventKind::SourceArrival { flow } => {
+        match event.target() {
+            Target::Source(i) => {
                 #[expect(
                     clippy::indexing_slicing,
                     reason = "events only carry flow ids minted from this flows vec"
                 )]
-                let f = &mut flows[flow as usize];
+                let f = &mut flows[i];
                 // Generate this packet (if within horizon) and schedule next.
-                if now < cfg.duration_s {
-                    let size = sample_size(cfg, &mut rng);
-                    total_packets += 1;
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        now,
-                        EventKind::HopArrive {
-                            flow,
-                            hop: 0,
-                            size_bits: size,
-                            gen_time: now,
-                        },
-                    );
-                    let t = next_arrival_time(now, f, &cfg.arrivals, &mut rng);
-                    if t < cfg.duration_s {
-                        push(&mut heap, &mut seq, t, EventKind::SourceArrival { flow });
-                    }
-                }
-            }
-            EventKind::HopArrive {
-                flow,
-                hop,
-                size_bits,
-                gen_time,
-            } => {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "events only carry flow ids minted from this flows vec"
-                )]
-                let f = &mut flows[flow as usize];
-                let measured = gen_time >= cfg.warmup_s;
-                if hop as usize == f.path.len() {
-                    // Delivered to destination.
-                    if measured {
-                        f.acc.record(now - gen_time);
-                    }
+                if now >= cfg.duration_s {
+                    heap.pop();
                     continue;
                 }
+                let size_bits = sample_size(cfg, &mut rng);
+                total_packets += 1;
+                // Hop 0 takes its seq before the next arrival does, exactly
+                // as if it had been pushed first.
+                let hop0_seq = seq;
+                seq += 1;
+                let t = next_arrival_time(now, f, &cfg.arrivals, &mut rng);
+                if t < cfg.duration_s {
+                    replace_top(&mut heap, HeapEvent::source(t, seq, i));
+                    seq += 1;
+                } else {
+                    heap.pop();
+                }
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "flow count validated against u32::MAX above"
+                )]
+                let mut packet = Packet {
+                    flow: i as u32,
+                    hop: 0,
+                    size_bits,
+                    gen_time: now,
+                };
+                // Hop 0 would pop next unless another queued event shares
+                // this instant (all of them hold smaller seqs but the next
+                // arrival's); then it waits its turn in the heap.
+                if heap.peek().is_some_and(|e| e.time == now.to_bits()) {
+                    let slot = packets.insert(packet);
+                    heap.push(HeapEvent::packet(now, hop0_seq, slot));
+                    continue;
+                }
+                events_processed += 1;
+                match arrive(f, &mut links, cfg, &packet, now) {
+                    Fate::Forward(t) => {
+                        packet.hop = 1;
+                        let slot = packets.insert(packet);
+                        heap.push(HeapEvent::packet(t, seq, slot));
+                        seq += 1;
+                    }
+                    Fate::Delivered => events_processed += 1,
+                    Fate::Gone => {}
+                }
+            }
+            Target::Packet(slot) => {
+                let packet = packets.get_mut(slot);
                 #[expect(
                     clippy::indexing_slicing,
-                    reason = "hop < path.len(): the delivery check above continues at =="
+                    reason = "packets only carry flow ids minted from this flows vec"
                 )]
-                let lid = f.path[hop as usize];
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "path link ids validated against g.n_links() at entry"
-                )]
-                let link = &mut links[lid.0];
-                // Lazily prune departures that already happened.
-                while let Some(std::cmp::Reverse(Time(t))) = link.departures.peek() {
-                    if *t <= now {
-                        link.departures.pop();
-                    } else {
-                        break;
+                let f = &mut flows[packet.flow as usize];
+                match arrive(f, &mut links, cfg, packet, now) {
+                    Fate::Forward(t) => {
+                        packet.hop += 1;
+                        replace_top(&mut heap, HeapEvent::packet(t, seq, slot));
+                        seq += 1;
+                    }
+                    fate => {
+                        events_processed += u64::from(matches!(fate, Fate::Delivered));
+                        packets.remove(slot);
+                        heap.pop();
                     }
                 }
-                if let Some(cap) = cfg.buffer_pkts {
-                    if link.departures.len() >= cap {
-                        if measured {
-                            f.dropped += 1;
-                        }
-                        continue;
-                    }
-                }
-                debug_assert!(
-                    link.capacity_bps > 0.0,
-                    "graph links carry positive capacity"
-                );
-                let service = size_bits / link.capacity_bps;
-                let start = now.max(link.busy_until);
-                let depart = start + service;
-                link.busy_until = depart;
-                link.departures.push(std::cmp::Reverse(Time(depart)));
-                // Utilization accounting must clip the *service interval* to
-                // the measurement window, not gate on when the packet was
-                // generated: a pre-warmup packet served inside the window
-                // contributes its in-window part, and a measured packet
-                // whose service drains past the horizon contributes only up
-                // to `duration_s`. Gating on `measured` both missed the
-                // former and over-counted the latter, producing utilization
-                // > 1 under overload (previously masked by a `.min(1.0)`).
-                let overlap = depart.min(cfg.duration_s) - start.max(cfg.warmup_s);
-                if overlap > 0.0 {
-                    link.busy_time_s += overlap;
-                }
-                if measured {
-                    link.sojourn_time_s += depart - now;
-                    link.sojourn_count += 1;
-                }
-                push(
-                    &mut heap,
-                    &mut seq,
-                    depart + link.prop_delay_s,
-                    EventKind::HopArrive {
-                        flow,
-                        hop: hop + 1,
-                        size_bits,
-                        gen_time,
-                    },
-                );
             }
         }
     }
@@ -611,6 +645,102 @@ pub fn simulate(
         total_packets,
         events_processed,
     })
+}
+
+/// Overwrite the earliest event, the one being handled, with its follow-up:
+/// one sift-down instead of a pop and a push.
+fn replace_top(heap: &mut BinaryHeap<HeapEvent>, next: HeapEvent) {
+    if let Some(mut top) = heap.peek_mut() {
+        *top = next;
+    }
+}
+
+/// What becomes of a packet that reaches a hop.
+enum Fate {
+    /// It joined the queue of `path[hop]` and reaches its next hop at this
+    /// time.
+    Forward(f64),
+    /// It joined the queue of its last link and its delay is already
+    /// recorded: the delivery is known once the departure is, so no event
+    /// is queued for it.
+    Delivered,
+    /// It was dropped at a full buffer, or reached the end of an empty path.
+    Gone,
+}
+
+/// `packet` reaches hop `packet.hop` of flow `f` at `now`: it is dropped at
+/// a full buffer or joins the link's FIFO queue.
+fn arrive(
+    f: &mut Flow,
+    links: &mut [LinkState],
+    cfg: &SimConfig,
+    packet: &Packet,
+    now: f64,
+) -> Fate {
+    let measured = packet.gen_time >= cfg.warmup_s;
+    let hop = usize::from(packet.hop);
+    let Some(&lid) = f.path.get(hop) else {
+        // Only an empty path ends here: every other packet is delivered
+        // from its last link.
+        if measured {
+            f.acc.record(now - packet.gen_time);
+        }
+        return Fate::Gone;
+    };
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "path link ids validated against g.n_links() at entry"
+    )]
+    let link = &mut links[lid.0];
+    if let Some(cap) = cfg.buffer_pkts {
+        // Prune departures that already happened.
+        while link.departures.front().is_some_and(|&t| t <= now) {
+            link.departures.pop_front();
+        }
+        if link.departures.len() >= cap {
+            if measured {
+                f.dropped += 1;
+            }
+            return Fate::Gone;
+        }
+    }
+    debug_assert!(
+        link.capacity_bps > 0.0,
+        "simulate validates every path link's capacity"
+    );
+    let service = packet.size_bits / link.capacity_bps;
+    let start = now.max(link.busy_until);
+    let depart = start + service;
+    link.busy_until = depart;
+    if cfg.buffer_pkts.is_some() {
+        link.departures.push_back(depart);
+    }
+    // Utilization accounting must clip the *service interval* to the
+    // measurement window, not gate on when the packet was generated: a
+    // pre-warmup packet served inside the window contributes its in-window
+    // part, and a measured packet whose service drains past the horizon
+    // contributes only up to `duration_s`. Gating on `measured` both missed
+    // the former and over-counted the latter, producing utilization > 1
+    // under overload (previously masked by a `.min(1.0)`).
+    let overlap = depart.min(cfg.duration_s) - start.max(cfg.warmup_s);
+    if overlap > 0.0 {
+        link.busy_time_s += overlap;
+    }
+    if measured {
+        link.sojourn_time_s += depart - now;
+        link.sojourn_count += 1;
+    }
+    let next = depart + link.prop_delay_s;
+    if hop + 1 < f.path.len() {
+        return Fate::Forward(next);
+    }
+    // A flow's packets share their last link, whose departures never
+    // decrease, so recording here keeps each flow's delays in delivery
+    // order; the Welford sums depend on that order.
+    if measured {
+        f.acc.record(next - packet.gen_time);
+    }
+    Fate::Delivered
 }
 
 fn exp_sample<R: Rng>(rate: f64, rng: &mut R) -> f64 {
@@ -1052,6 +1182,43 @@ mod tests {
                 simulate(&g, &r, &tm, &cfg),
                 Err(SimError::BadConfig(_))
             ));
+        }
+    }
+
+    /// A graph edited through `adj_link_mut` (or deserialized) skips
+    /// `add_link`'s checks; a zero capacity would give NaN delays.
+    #[test]
+    fn path_link_without_positive_capacity_rejected() {
+        let (mut g, r) = one_link_graph(10_000.0);
+        let tm = single_flow_tm(2, 0, 1, 1_000.0);
+        let lid = g.link_between(NodeId(0), NodeId(1)).unwrap();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            g.adj_link_mut(lid).capacity_bps = bad;
+            assert!(
+                matches!(
+                    simulate(&g, &r, &tm, &SimConfig::default()),
+                    Err(SimError::BadConfig(_))
+                ),
+                "capacity_bps = {bad}"
+            );
+        }
+    }
+
+    /// A negative propagation delay would give negative mean delays.
+    #[test]
+    fn path_link_with_negative_prop_delay_rejected() {
+        let (mut g, r) = one_link_graph(10_000.0);
+        let tm = single_flow_tm(2, 0, 1, 1_000.0);
+        let lid = g.link_between(NodeId(0), NodeId(1)).unwrap();
+        for bad in [-5.0, f64::NAN, f64::INFINITY] {
+            g.adj_link_mut(lid).prop_delay_s = bad;
+            assert!(
+                matches!(
+                    simulate(&g, &r, &tm, &SimConfig::default()),
+                    Err(SimError::BadConfig(_))
+                ),
+                "prop_delay_s = {bad}"
+            );
         }
     }
 

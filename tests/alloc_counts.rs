@@ -90,12 +90,14 @@ fn nsfnet_scenario(seed: u64) -> (Graph, RoutingScheme, TrafficMatrix) {
     (graph, routing, traffic)
 }
 
-/// Allocations of one `simulate` call over `duration_s`, and its events.
-fn simulation(duration_s: f64) -> (u64, u64) {
+/// Allocations of one `simulate` call over `duration_s` with `buffer_pkts`,
+/// and its events.
+fn simulation(duration_s: f64, buffer_pkts: Option<usize>) -> (u64, u64) {
     let (graph, routing, traffic) = nsfnet_scenario(7);
     let cfg = SimConfig {
         duration_s,
         warmup_s: 2.0,
+        buffer_pkts,
         seed: 3,
         ..SimConfig::default()
     };
@@ -103,24 +105,28 @@ fn simulation(duration_s: f64) -> (u64, u64) {
     (n, res.events_processed)
 }
 
-/// Extra allocations a 4x longer simulation may make: the per-link queues
+/// Extra allocations a 4x longer simulation may make: the event heap, the
+/// packet slab and (with a finite buffer) the per-link departure queues
 /// reach a slightly higher high-water mark, and nothing else in the loop
 /// allocates.
 const SIM_EXTRA_ALLOCS: u64 = 16;
 
 #[test]
 fn simulator_event_loop_does_not_allocate_per_event() {
-    let (short_allocs, short_events) = simulation(20.0);
-    let (long_allocs, long_events) = simulation(80.0);
-    assert!(
-        long_events > 3 * short_events,
-        "the long run must process many more events: {short_events} -> {long_events}"
-    );
-    let extra = long_allocs.saturating_sub(short_allocs);
-    assert!(
-        extra <= SIM_EXTRA_ALLOCS,
-        "{short_allocs} -> {long_allocs} allocations for {short_events} -> {long_events} events"
-    );
+    for buffer_pkts in [None, Some(8)] {
+        let (short_allocs, short_events) = simulation(20.0, buffer_pkts);
+        let (long_allocs, long_events) = simulation(80.0, buffer_pkts);
+        assert!(
+            long_events > 3 * short_events,
+            "the long run must process many more events: {short_events} -> {long_events}"
+        );
+        let extra = long_allocs.saturating_sub(short_allocs);
+        assert!(
+            extra <= SIM_EXTRA_ALLOCS,
+            "buffer {buffer_pkts:?}: {short_allocs} -> {long_allocs} allocations \
+             for {short_events} -> {long_events} events"
+        );
+    }
 }
 
 fn untrained_model(t_iterations: usize) -> RouteNet {
