@@ -213,6 +213,8 @@ struct HeapEvent {
     id: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<HeapEvent>() == 24);
+
 /// What a [`HeapEvent`] is for.
 enum Target {
     /// Generate the next packet of this flow and schedule its successor.
