@@ -36,13 +36,19 @@ struct Regime {
     capacity_mult: f64,
 }
 
-/// Mean wall-clock milliseconds of `reps` calls of `f(rep)`.
-fn mean_ms(reps: usize, mut f: impl FnMut(usize)) -> f64 {
-    let t = Instant::now();
-    for r in 0..reps {
-        f(r);
-    }
-    t.elapsed().as_secs_f64() * 1e3 / reps as f64
+/// Wall-clock milliseconds of `reps` timed calls of `f(rep)`, after one
+/// untimed warm-up call `f(0)`: the median, the minimum and the maximum.
+fn time_ms(reps: usize, mut f: impl FnMut(usize)) -> [f64; 3] {
+    f(0);
+    let mut ms: Vec<f64> = (0..reps)
+        .map(|r| {
+            let t = Instant::now();
+            f(r);
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    [ms[ms.len() / 2], ms[0], ms[ms.len() - 1]]
 }
 
 fn main() {
@@ -78,14 +84,20 @@ fn main() {
     };
     let mm1 = Mm1Baseline::default();
 
-    println!("# cost: per-scenario wall-clock, mean of {reps} reps, untrained RouteNet");
+    println!(
+        "# cost: per-scenario wall-clock, median (min, max) of {reps} reps after one \
+         untimed warm-up call, untrained RouteNet"
+    );
     for r in &regimes {
         println!(
             "# regime {}: capacities and demands x{}, {} s simulated ({} s warm-up)",
             r.name, r.capacity_mult, r.duration_s, r.warmup_s
         );
     }
-    println!("regime,topology,nodes,paths,sim_ms,routenet_ms,mm1_ms,speedup_vs_sim,sim_events");
+    println!(
+        "regime,topology,nodes,paths,sim_ms,sim_min_ms,sim_max_ms,\
+         routenet_ms,routenet_min_ms,routenet_max_ms,mm1_ms,speedup_vs_sim,sim_events"
+    );
     for r in &regimes {
         for (spec, label) in [
             (TopologySpec::Nsfnet, "NSFNET"),
@@ -111,7 +123,7 @@ fn main() {
             let scenario = &sample.scenario;
 
             let mut events = 0u64;
-            let sim_ms = mean_ms(reps, |rep| {
+            let [sim_ms, sim_min, sim_max] = time_ms(reps, |rep| {
                 let sim_cfg = SimConfig {
                     seed: rep as u64,
                     ..cfg.sim.clone()
@@ -126,15 +138,16 @@ fn main() {
                 events = res.events_processed;
             });
             // Inference timing includes scenario compilation.
-            let rn_ms = mean_ms(reps, |_| {
+            let [rn_ms, rn_min, rn_max] = time_ms(reps, |_| {
                 assert_eq!(model.predict_scenario(scenario).len(), scenario.n_pairs());
             });
-            let mm1_ms = mean_ms(reps, |_| {
+            let [mm1_ms, _, _] = time_ms(reps, |_| {
                 assert_eq!(mm1.predict(scenario).len(), scenario.n_pairs());
             });
 
             println!(
-                "{},{label},{},{},{sim_ms:.1},{rn_ms:.1},{mm1_ms:.3},{:.2},{events}",
+                "{},{label},{},{},{sim_ms:.1},{sim_min:.1},{sim_max:.1},\
+                 {rn_ms:.1},{rn_min:.1},{rn_max:.1},{mm1_ms:.3},{:.2},{events}",
                 r.name,
                 scenario.graph.n_nodes(),
                 scenario.n_pairs(),
@@ -142,7 +155,7 @@ fn main() {
             );
         }
     }
-    println!("# speedup_vs_sim = simulation time / RouteNet inference time.");
+    println!("# speedup_vs_sim = median simulation time / median RouteNet inference time.");
     println!("# Simulation cost grows with the packets simulated (capacities x window);");
     println!("# inference cost depends only on the scenario's size.");
 }

@@ -679,9 +679,10 @@ pub fn train_with_control(
 
     // Arena story: one tape per training worker plus one for evaluation
     // passes, all owned here so their buffer pools persist across batches
-    // and epochs — after the first pass forward values come from the pool;
-    // backward partials are still allocated per pass, and
-    // `tests/alloc_counts.rs` pins the count per epoch. Worker `w` of
+    // and epochs — once a pool holds buffers for the largest minibatch,
+    // forward values come from it (best fit, see `Tape::reset`); backward
+    // partials are still allocated per pass, and `tests/alloc_counts.rs`
+    // pins the count per epoch and that arena misses stop. Worker `w` of
     // `par::strided_map` replays into `arenas[w]`, so the arena a sub-batch
     // replays into is deterministic.
     let mut arenas: Vec<Tape> = (0..par::resolve_threads(cfg.threads))

@@ -20,12 +20,17 @@
 //!
 //! A tape can be recycled across forward/backward passes with
 //! [`Tape::reset`]: node value buffers (and the activations fused ops save)
-//! are drained into an internal pool and handed back out by the next pass's
-//! ops in allocation order. Because a training loop replays the same op
-//! sequence every iteration, the pool reaches a steady state after the
-//! first pass and the forward pass performs no further value-buffer heap
-//! allocation. Backward partials are not pooled: they are allocated on
-//! every pass. See DESIGN.md "Batched execution & memory arenas".
+//! are drained into an internal pool kept sorted by capacity, and each op of
+//! the next pass takes the smallest pooled buffer that fits its output
+//! (best fit). When none fits, the largest pooled buffer is dropped and an
+//! exact-size one allocated: a handed-out buffer never grows, and a miss
+//! replaces a pooled buffer instead of adding one, so in a loop that draws
+//! its leaves with [`Tape::leaf_copied`] the pool never holds more buffers
+//! than the largest pass recorded. A replayed op sequence therefore reaches
+//! a steady state after its first pass, and a stream of differently shaped
+//! passes stops missing once the pool holds buffers for the largest.
+//! Backward partials are not pooled: they are allocated on every pass. See
+//! DESIGN.md "Batched execution & memory arenas".
 //!
 //! # Segment ops
 //!
@@ -40,7 +45,6 @@
 // `.get()`.
 #![deny(clippy::indexing_slicing)]
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::plan::{IndexPlan, SegmentPlan};
@@ -256,10 +260,11 @@ fn gru_forward(
 pub struct Tape {
     nodes: Vec<Node>,
     poisoned: bool,
-    /// Recycled value buffers, FIFO. `reset` drains node values here in
-    /// allocation order; `alloc_tensor` pops front, so a replayed op
-    /// sequence gets each buffer back at exactly the right capacity.
-    pool: VecDeque<Vec<f64>>,
+    /// Recycled value buffers, sorted by ascending capacity. `reset`
+    /// drains node values here and sorts once; `alloc_tensor` removes the
+    /// first buffer whose capacity fits, or drops the last (largest) on a
+    /// miss.
+    pool: Vec<Vec<f64>>,
     /// [`Tape::gru_seg`]'s per-row temporaries, kept so a GRU step does
     /// not allocate them on every call.
     gru_scratch: Vec<f64>,
@@ -282,50 +287,40 @@ impl Tape {
         self.max_nodes = self.max_nodes.max(self.nodes.len());
         self.max_scalars = self.max_scalars.max(self.value_scalars());
         for node in self.nodes.drain(..) {
-            self.pool.push_back(node.value.into_data());
-            // A fused GRU step's saved gates, in their allocation order.
+            self.pool.push(node.value.into_data());
+            // A fused GRU step's saved gates.
             if let Op::GruSeg { saved, .. } = node.op {
                 for t in [saved.z, saved.r, saved.c, saved.rh] {
-                    self.pool.push_back(t.into_data());
+                    self.pool.push(t.into_data());
                 }
             }
         }
+        // In place: steady-state resets must not allocate.
+        self.pool.sort_unstable_by_key(Vec::capacity);
         self.poisoned = false;
     }
 
-    /// Allocate (or recycle) a zeroed `rows x cols` value tensor.
+    /// Allocate (or recycle) a zeroed `rows x cols` value tensor: the
+    /// smallest pooled buffer whose capacity fits, else a fresh exact-size
+    /// buffer, in which case the largest pooled buffer (too small for this
+    /// request) is dropped so the pool cannot accumulate buffers.
     fn alloc_tensor(&mut self, rows: usize, cols: usize) -> Tensor {
-        match self.pool.pop_front() {
-            Some(buf) => {
-                self.reuse_hits += 1;
-                Tensor::from_buffer(rows, cols, buf)
-            }
-            None => {
-                self.reuse_misses += 1;
-                Tensor::zeros(rows, cols)
-            }
+        let len = rows * cols;
+        let fit = self.pool.partition_point(|b| b.capacity() < len);
+        if fit < self.pool.len() {
+            self.reuse_hits += 1;
+            Tensor::from_buffer(rows, cols, self.pool.remove(fit))
+        } else {
+            self.reuse_misses += 1;
+            self.pool.pop();
+            Tensor::zeros(rows, cols)
         }
     }
 
-    /// Bound the arena pool to at most `max_buffers` recycled buffers,
-    /// dropping the *largest* ones first. A training loop replays one op
-    /// sequence and wants the whole pool; a long-lived server replays
-    /// variable-size batches, so after one large burst the pool would pin
-    /// the high-water memory forever. Dropping the largest buffers releases
-    /// the burst memory while keeping warm buffers for steady-state batches.
-    pub fn trim_pool(&mut self, max_buffers: usize) {
-        if self.pool.len() <= max_buffers {
-            return;
-        }
-        let mut bufs: Vec<Vec<f64>> = self.pool.drain(..).collect();
-        bufs.sort_by_key(|b| b.capacity());
-        bufs.truncate(max_buffers);
-        self.pool.extend(bufs);
-    }
-
-    /// Number of recycled value buffers currently held by the arena pool.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
+    /// Total capacity, in scalars, of the recycled buffers the arena pool
+    /// holds: the memory a reused tape keeps between passes.
+    pub fn pool_scalars(&self) -> usize {
+        self.pool.iter().map(Vec::capacity).sum()
     }
 
     /// Cumulative count of value buffers recycled from the arena pool.
@@ -1496,12 +1491,12 @@ mod tests {
         let mut tape = Tape::new();
         // The output plus z, r, c and r ⊙ h.
         assert_eq!(run(&mut tape), 5 * rows * hid);
-        let misses = tape.reuse_misses();
+        let (misses, scalars) = (tape.reuse_misses(), tape.value_scalars());
         tape.reset();
-        assert_eq!(tape.pool_len(), 11 + 5);
+        assert_eq!(tape.pool_scalars(), scalars);
         run(&mut tape);
         assert_eq!(tape.reuse_misses(), misses, "replay allocated");
-        assert_eq!(tape.pool_len(), 0);
+        assert_eq!(tape.pool_scalars(), 0);
     }
 
     #[test]
@@ -1794,26 +1789,80 @@ mod tests {
         assert!(!t.poisoned());
     }
 
-    /// Server contract: `trim_pool` bounds the arena after a large burst,
-    /// dropping the largest buffers first, and stays usable afterwards.
-    #[test]
-    fn trim_pool_bounds_arena_and_drops_largest() {
+    /// A tape whose pool holds one buffer of each capacity in `caps`.
+    fn pooled(caps: &[usize]) -> Tape {
         let mut tape = Tape::new();
-        // One big buffer and several small ones.
-        tape.leaf(Tensor::zeros(100, 100));
-        for _ in 0..4 {
-            tape.leaf(Tensor::zeros(2, 2));
+        for &n in caps {
+            tape.leaf(Tensor::zeros(1, n));
         }
         tape.reset();
-        assert_eq!(tape.pool_len(), 5);
-        tape.trim_pool(3);
-        assert_eq!(tape.pool_len(), 3);
-        // The 10_000-scalar burst buffer is gone; survivors are small.
-        assert!(tape.pool.iter().all(|b| b.capacity() < 10_000));
-        let small = tape.alloc_tensor(2, 2);
-        assert_eq!(small.data().len(), 4);
-        // Trimming to a larger bound is a no-op.
-        tape.trim_pool(100);
-        assert_eq!(tape.pool_len(), 2);
+        tape
+    }
+
+    fn pool_caps(tape: &Tape) -> Vec<usize> {
+        tape.pool.iter().map(Vec::capacity).collect()
+    }
+
+    /// Best fit: a request takes the smallest pooled buffer whose capacity
+    /// holds it, whatever order the buffers entered the pool in.
+    #[test]
+    fn best_fit_takes_the_smallest_buffer_that_fits() {
+        let mut tape = pooled(&[25, 4, 16, 9]);
+        assert_eq!(pool_caps(&tape), [4, 9, 16, 25]);
+        let t = tape.alloc_tensor(2, 5);
+        assert_eq!((t.rows(), t.cols()), (2, 5));
+        assert!(t.data().iter().all(|v| v.to_bits() == 0));
+        assert_eq!(t.into_data().capacity(), 16);
+        assert_eq!(pool_caps(&tape), [4, 9, 25]);
+        // An exact fit beats every larger buffer.
+        assert_eq!(tape.alloc_tensor(3, 3).into_data().capacity(), 9);
+        assert_eq!((tape.reuse_hits(), tape.reuse_misses()), (2, 0));
+    }
+
+    /// A miss allocates exactly the request and retires the largest pooled
+    /// buffer, which is too small for it, so the pool cannot grow a buffer
+    /// per miss.
+    #[test]
+    fn a_miss_retires_the_largest_buffer() {
+        let mut tape = pooled(&[4, 9, 16]);
+        let t = tape.alloc_tensor(10, 10);
+        assert_eq!(t.into_data().capacity(), 100);
+        assert_eq!((tape.reuse_hits(), tape.reuse_misses()), (0, 1));
+        assert_eq!(pool_caps(&tape), [4, 9]);
+        // An empty pool still answers.
+        let mut empty = Tape::new();
+        assert_eq!(empty.alloc_tensor(2, 3).data().len(), 6);
+        assert_eq!(empty.pool_scalars(), 0);
+    }
+
+    /// No handed-out buffer is ever grown: each comes back at the capacity
+    /// it had in the pool (or, on a miss, at the request's size), over
+    /// rounds of differently shaped passes through one tape.
+    #[test]
+    fn a_handed_out_buffer_is_never_grown() {
+        let mut tape = Tape::new();
+        let rounds: [&[(usize, usize)]; 4] = [
+            &[(3, 4), (1, 1), (8, 8)],
+            &[(2, 2), (6, 6), (9, 9), (3, 3)],
+            &[(9, 9), (1, 2)],
+            &[(4, 4), (8, 8), (1, 1), (2, 3)],
+        ];
+        for shapes in rounds {
+            for &(r, c) in shapes {
+                let before = pool_caps(&tape);
+                let buf = tape.alloc_tensor(r, c).into_data();
+                let fit = before.iter().copied().find(|&b| b >= r * c);
+                assert_eq!(
+                    buf.capacity(),
+                    fit.unwrap_or(r * c),
+                    "{r}x{c} from {before:?}"
+                );
+                // Record it, as an op would, so `reset` pools it again.
+                tape.leaf(Tensor::from_vec(r, c, buf));
+            }
+            tape.reset();
+            // No more buffers than the largest pass drew.
+            assert!(tape.pool.len() <= 4, "{:?}", pool_caps(&tape));
+        }
     }
 }

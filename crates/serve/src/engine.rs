@@ -3,6 +3,10 @@
 //! [`Engine`] owns everything a micro-batch needs and is driven by exactly
 //! one thread (the batcher), so it needs no interior locking: connection
 //! threads never touch the model, they only move queries through the queue.
+//! The arena is bounded by the tape itself: its best-fit pool hands each op
+//! the smallest recycled buffer that fits and replaces a buffer on a miss,
+//! so micro-batches of mixed shapes settle at the buffers the largest batch
+//! needs instead of ratcheting up (see `routenet_nn::Tape`).
 
 use crate::cache::PlanCache;
 use routenet_core::checkpoint::{CheckpointError, TrainState, MAGIC};
@@ -10,12 +14,6 @@ use routenet_core::{Prediction, RouteNet, Scenario};
 use routenet_faults::FsHandle;
 use routenet_nn::Tape;
 use std::path::Path;
-
-/// Upper bound on recycled arena buffers kept between micro-batches. One
-/// oversized batch would otherwise pin its tape memory for the daemon's
-/// whole lifetime (the pool never shrinks on its own; see
-/// [`Tape::trim_pool`]).
-const ARENA_POOL_CAP: usize = 4096;
 
 /// Typed serving failures. The daemon maps each to an error response or a
 /// clean exit — it never panics on bad input or injected IO faults.
@@ -118,8 +116,7 @@ impl Engine {
             reason = "arena is only vacant inside this call; both exits restore it"
         )]
         let arena = self.arena.take().expect("arena present between batches");
-        let (preds, mut arena) = self.model.predict_batch_compiled_reuse(&refs, arena);
-        arena.trim_pool(ARENA_POOL_CAP);
+        let (preds, arena) = self.model.predict_batch_compiled_reuse(&refs, arena);
         self.arena = Some(arena);
         preds
     }

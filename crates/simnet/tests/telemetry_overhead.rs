@@ -23,12 +23,14 @@ fn one_link(cap_bps: f64) -> (Graph, RoutingScheme) {
     (g, r)
 }
 
+/// A one-link simulation long enough (tens of thousands of events, a few
+/// milliseconds in release) that one run's wall time is not scheduler noise.
 fn run(telemetry: Telemetry) -> SimResult {
     let (g, r) = one_link(10_000.0);
     let mut tm = TrafficMatrix::zeros(2);
     tm.set_demand(NodeId(0), NodeId(1), 7_000.0);
     let cfg = SimConfig {
-        duration_s: 500.0,
+        duration_s: 10_000.0,
         warmup_s: 50.0,
         seed: 11,
         telemetry,
@@ -59,28 +61,35 @@ fn telemetry_does_not_change_results() {
 /// Disabled telemetry must be within noise of an enabled in-memory handle.
 /// Both variants do zero telemetry work inside the event loop, so their
 /// medians differ only by one end-of-run flush; a regression here means
-/// someone put per-event telemetry on the hot path. Tolerance is generous
-/// (35%) because short wall-clock medians are noisy under CI load.
+/// someone put per-event telemetry on the hot path. The variants run
+/// interleaved after a warm-up of each, so a slow stretch of the host lands
+/// on both rather than on one variant's early runs. Tolerance is generous
+/// (35%) because wall-clock medians are noisy under CI load.
 #[test]
 #[ignore = "wall-clock comparison; run explicitly via scripts/check.sh"]
 fn disabled_telemetry_within_noise_of_enabled() {
-    let median = |tel_for: &dyn Fn() -> Telemetry| -> f64 {
-        let mut times: Vec<f64> = (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                let res = run(tel_for());
-                assert!(res.events_processed > 0);
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(|a, b| a.total_cmp(b));
+    let timed = |telemetry: Telemetry| -> f64 {
+        let t0 = Instant::now();
+        let res = run(telemetry);
+        assert!(res.events_processed > 0);
+        t0.elapsed().as_secs_f64()
+    };
+    let enabled = || Telemetry::in_memory("simnet", "overhead");
+    // Warm both paths (page cache, lazy init, CPU frequency) before timing.
+    for _ in 0..2 {
+        timed(Telemetry::disabled());
+        timed(enabled());
+    }
+    let (mut disabled_s, mut enabled_s) = (Vec::new(), Vec::new());
+    for _ in 0..7 {
+        disabled_s.push(timed(Telemetry::disabled()));
+        enabled_s.push(timed(enabled()));
+    }
+    let median = |mut times: Vec<f64>| {
+        times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    // Warm both paths once (page cache, lazy init) before timing.
-    run(Telemetry::disabled());
-    run(Telemetry::in_memory("simnet", "warmup"));
-    let disabled = median(&Telemetry::disabled);
-    let enabled = median(&|| Telemetry::in_memory("simnet", "overhead"));
+    let (disabled, enabled) = (median(disabled_s), median(enabled_s));
     assert!(
         disabled <= enabled * 1.35,
         "disabled-telemetry sim ({disabled:.4}s) slower than enabled ({enabled:.4}s) beyond noise"

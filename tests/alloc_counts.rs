@@ -3,7 +3,9 @@
 //! and served) and the training epoch. A counting global allocator measures
 //! every heap allocation, including those made inside callees, and each test
 //! pins how the count grows with the loop's trip count, so one allocation
-//! added per iteration fails here.
+//! added per iteration fails here. Two more cases pin the tape arena under
+//! passes of mixed shapes: the memory its pool keeps, and that its misses
+//! stop.
 //!
 //! Counts are per thread: libtest runs tests on parallel threads, and each
 //! test only reads its own thread's counter. Every measured call therefore
@@ -13,16 +15,17 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use routenet_core::features::Normalizer;
 use routenet_core::model::CompiledScenario;
 use routenet_core::prelude::*;
 use routenet_dataset::gen::{generate_dataset_with_threads, GenConfig, TopologySpec};
-use routenet_netgraph::routing::shortest_path_routing;
-use routenet_netgraph::topology::{assign_capacities, nsfnet, CapacityScheme};
+use routenet_netgraph::routing::{randomized_routing, shortest_path_routing};
+use routenet_netgraph::topology::{assign_capacities, gbn, geant2, nsfnet, CapacityScheme};
 use routenet_netgraph::traffic::{sample_traffic_matrix, TrafficModel};
 use routenet_netgraph::{Graph, RoutingScheme, TrafficMatrix};
 use routenet_nn::Tape;
+use routenet_obs::Telemetry;
 use routenet_serve::Engine;
 use routenet_simnet::{simulate, SimConfig};
 
@@ -182,7 +185,7 @@ fn warm_predict(t_iterations: usize) -> u64 {
     let scenarios = scenarios();
     let compiled: Vec<CompiledScenario> = scenarios.iter().map(|s| model.compile(s)).collect();
     let refs: Vec<&CompiledScenario> = compiled.iter().collect();
-    // The first pass fills the arena; the second grows the pool's queue.
+    // Two passes fill the arena's pool before anything is counted.
     let mut arena = Tape::new();
     for _ in 0..2 {
         arena = model.predict_batch_compiled_reuse(&refs, arena).1;
@@ -279,5 +282,99 @@ fn every_epoch_after_the_first_allocates_the_same_pinned_count() {
         per_epoch,
         vec![EPOCH_ALLOCS; 2],
         "allocations of 2..=4 epochs: {counts:?}"
+    );
+}
+
+/// NSFNET, GBN and Geant2 in turn, each scenario with its own capacities,
+/// randomised routing and traffic: the what-if rerouting workload's mix.
+fn rerouted_scenarios(n: usize, seed: u64) -> Vec<Scenario> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let mut graph = [nsfnet, gbn, geant2][i % 3]();
+            assign_capacities(&mut graph, &CapacityScheme::kdn_default(), &mut rng);
+            let routing = randomized_routing(&graph, 2.0, &mut rng).unwrap();
+            let model = TrafficModel::Uniform { min_frac: 0.25 };
+            let intensity = rng.gen_range(0.2..=0.8);
+            let traffic = sample_traffic_matrix(&graph, &routing, &model, intensity, &mut rng);
+            let mut sc = Scenario {
+                graph,
+                routing,
+                traffic,
+            };
+            sc.finalize();
+            sc
+        })
+        .collect()
+}
+
+/// Micro-batches of 1 to 4 consecutive positions covering `0..n`.
+fn micro_batches(n: usize, rng: &mut StdRng) -> Vec<std::ops::Range<usize>> {
+    let mut batches = Vec::new();
+    let mut lo = 0;
+    while lo < n {
+        let hi = (lo + rng.gen_range(1..=4usize)).min(n);
+        batches.push(lo..hi);
+        lo = hi;
+    }
+    batches
+}
+
+/// A daemon's arena under rerouting queries: micro-batches of mixed
+/// topologies and sizes through one tape. After one round the pool holds at
+/// most twice the largest tape's scalars, and replaying the same
+/// micro-batches draws every buffer from it.
+#[test]
+fn mixed_shape_replay_keeps_the_arena_bounded_and_reaches_a_fixed_point() {
+    let model = untrained_model(2);
+    let scenarios = rerouted_scenarios(36, 27);
+    let compiled: Vec<CompiledScenario> = scenarios.iter().map(|s| model.compile(s)).collect();
+    let batches = micro_batches(compiled.len(), &mut StdRng::seed_from_u64(4));
+    let round = |mut arena: Tape| {
+        for range in &batches {
+            let refs: Vec<&CompiledScenario> = compiled[range.clone()].iter().collect();
+            arena = model.predict_batch_compiled_reuse(&refs, arena).1;
+        }
+        arena.reset();
+        arena
+    };
+    let arena = round(Tape::new());
+    let (pooled, largest) = (arena.pool_scalars(), arena.max_scalars());
+    assert!(
+        pooled <= 2 * largest,
+        "the pool holds {pooled} scalars against a largest tape of {largest}"
+    );
+    let misses = arena.reuse_misses();
+    let arena = round(arena);
+    assert_eq!(arena.reuse_misses(), misses, "the second round missed");
+}
+
+/// Training at `batch_size` 4 packs minibatches of different shapes as each
+/// epoch's shuffle regroups the samples, so only the buffers the largest
+/// minibatch needs bound the arenas: after the second epoch no pass misses.
+/// (The total allocation count still varies per epoch: a minibatch's longest
+/// path sets how many nodes its backward pass allocates.)
+#[test]
+fn training_arena_misses_stop_after_the_second_epoch() {
+    let data = tiny_dataset();
+    let (train_set, val_set) = data.split_at(6);
+    let misses = |epochs: usize| {
+        let telemetry = Telemetry::in_memory("alloc_counts", "arena");
+        let cfg = TrainConfig {
+            epochs,
+            batch_size: 4,
+            lr: 3e-3,
+            threads: 1,
+            telemetry: telemetry.clone(),
+            ..TrainConfig::default()
+        };
+        let mut model = untrained_model(2);
+        train(&mut model, train_set, val_set, &cfg).unwrap();
+        telemetry.counter("train.arena_reuse_misses")
+    };
+    let counts: Vec<u64> = (2..=6).map(misses).collect();
+    assert!(
+        counts.iter().all(|&m| m == counts[0]),
+        "arena misses after 2..=6 epochs: {counts:?}"
     );
 }
