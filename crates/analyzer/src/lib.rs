@@ -5,43 +5,29 @@
 //! own minimal Rust lexer ([`lexer`]) and the rules clippy cannot express,
 //! tuned to the failure modes that would invalidate the paper's
 //! generalization results: NaN-unsound float handling and undocumented
-//! invariants ([`rules`]), locking in hot loops and relaxed publication
-//! ([`concurrency`]), and unit or NaN dataflow errors ([`numeric`]).
-//! Panics, float equality, lossy casts, hash-order iteration, discarded
-//! errors, and direct `std::fs` use are clippy's job; racing writes are the
-//! borrow checker's, with `unsafe_code` denied; parallel determinism rests
-//! on one scoped-thread helper that clippy keeps the only parallel region,
-//! pinned by 1-vs-N byte-identity tests; and hot-loop allocation is
-//! measured by the root test `tests/alloc_counts.rs` (see
-//! [`rules::RETIRED`] and `scripts/check.sh`).
+//! invariants ([`rules`]), relaxed publication ([`concurrency`]), and unit
+//! or NaN dataflow errors ([`numeric`]). Panics, float equality, lossy
+//! casts, hash-order iteration, discarded errors, direct `std::fs` use and
+//! locks outside the modules that own one are clippy's job; racing writes
+//! are the borrow checker's, with `unsafe_code` denied; parallel
+//! determinism rests on one scoped-thread helper that clippy keeps the only
+//! parallel region, pinned by 1-vs-N byte-identity tests; and hot-loop
+//! allocation and telemetry calls are measured by the root test
+//! `tests/alloc_counts.rs` (see [`rules::RETIRED`] and `scripts/check.sh`).
 //!
 //! Entry points: [`analyze_workspace`] (what `scripts/check.sh` and CI run)
 //! and [`analyze_paths`] (explicit files, all rules on — used by the fixture
 //! tests). Both produce a [`Report`] with `file:line` diagnostics and a
 //! machine-readable JSON rendering.
 
-pub mod callgraph;
 pub mod concurrency;
 pub mod lexer;
 pub mod numeric;
-pub mod parse;
 pub mod rules;
 
 use rules::{AllowEntry, Diagnostic, InvariantEntry, RuleSet};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Files whose loops are hot enough that a per-iteration lock is a finding
-/// (RN204): the autodiff tape/tensor kernels, the training loop, and the
-/// simulator event loop.
-pub const HOT_PATHS: &[&str] = &[
-    "crates/nn/src/tape.rs",
-    "crates/nn/src/tensor.rs",
-    "crates/nn/src/plan.rs",
-    "crates/core/src/trainer.rs",
-    "crates/core/src/batch.rs",
-    "crates/simnet/src/sim.rs",
-];
 
 /// Files under the RN4xx numeric-dataflow audit: the measurement and kernel
 /// code where a seconds-vs-bits/s slip or an unguarded division corrupts
@@ -233,12 +219,13 @@ impl std::fmt::Display for AnalyzeError {
 impl std::error::Error for AnalyzeError {}
 
 /// Analyze the whole workspace rooted at `root` (the directory holding the
-/// top-level `Cargo.toml`). Scans `src/` and `crates/*/src/`; `tests/`,
-/// `examples/`, `fixtures/`, and `vendor/` are exempt.
+/// top-level `Cargo.toml`). Scans `src/`, `examples/` and `crates/*/src/`;
+/// `tests/` directories, crate-level `examples/`, `fixtures/`, and `vendor/`
+/// are exempt.
 #[must_use = "the report carries the findings; dropping it skips the gate"]
 pub fn analyze_workspace(root: &Path) -> Result<Report, AnalyzeError> {
     let mut files = Vec::new();
-    for base in ["src", "crates"] {
+    for base in ["src", "examples", "crates"] {
         let dir = root.join(base);
         if dir.is_dir() {
             collect_rs_files(&dir, &mut files)?;
@@ -253,8 +240,8 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, AnalyzeError> {
     Ok(analyze_sources(&sources, rules_for))
 }
 
-/// Analyze explicit paths with every rule enabled (fixture mode). The call
-/// graph spans exactly the given files.
+/// Analyze explicit paths with every rule enabled (fixture mode). The unit
+/// environment spans exactly the given files.
 #[must_use = "the report carries the findings; dropping it skips the gate"]
 pub fn analyze_paths(paths: &[PathBuf]) -> Result<Report, AnalyzeError> {
     let mut sources: Vec<(String, String)> = Vec::with_capacity(paths.len());
@@ -265,15 +252,13 @@ pub fn analyze_paths(paths: &[PathBuf]) -> Result<Report, AnalyzeError> {
 }
 
 /// Run the rule passes selected by `rules_for` over every source, with the
-/// call graph and unit environment built over all of them so a finding in
-/// one file can rest on evidence from another.
+/// unit environment built over all of them so a finding in one file can
+/// rest on evidence from another.
 fn analyze_sources(sources: &[(String, String)], rules_for: impl Fn(&str) -> RuleSet) -> Report {
-    let graph = callgraph::CallGraph::build(sources);
     let units = numeric::UnitEnv::build(sources);
     let mut report = Report::default();
     for (rel, source) in sources {
-        let file =
-            rules::analyze_source_with(rel, source, rules_for(rel), Some(&graph), Some(&units));
+        let file = rules::analyze_source_with(rel, source, rules_for(rel), Some(&units));
         report.files_scanned += 1;
         report.diagnostics.extend(file.diagnostics);
         report.invariants.extend(file.invariants);
@@ -299,11 +284,10 @@ fn read_source(path: &Path) -> Result<String, AnalyzeError> {
 }
 
 /// Rule selection by path: every rule runs everywhere except the
-/// path-scoped families — the hot-loop lock check in the [`HOT_PATHS`]
-/// kernels, numeric dataflow in [`NUMERIC_PATHS`].
+/// path-scoped numeric dataflow family, which reports in [`NUMERIC_PATHS`]
+/// only.
 fn rules_for(rel: &str) -> RuleSet {
     RuleSet {
-        hot_loop_lock: HOT_PATHS.iter().any(|h| rel.ends_with(h)),
         numeric: NUMERIC_PATHS.iter().any(|h| rel.ends_with(h)),
     }
 }
@@ -364,16 +348,6 @@ mod tests {
 
     #[test]
     fn rules_for_scopes_path_families() {
-        // Hot-loop locks: the kernel files only.
-        for hot in [
-            "crates/nn/src/tensor.rs",
-            "crates/nn/src/plan.rs",
-            "crates/core/src/trainer.rs",
-            "crates/core/src/batch.rs",
-        ] {
-            assert!(rules_for(hot).hot_loop_lock, "{hot}");
-        }
-        assert!(!rules_for("crates/core/src/model.rs").hot_loop_lock);
         // numeric: the measurement/kernel files only.
         assert!(rules_for("crates/simnet/src/sim.rs").numeric);
         assert!(rules_for("crates/core/src/metrics.rs").numeric);

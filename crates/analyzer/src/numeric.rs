@@ -1,6 +1,6 @@
 //! RN4xx: interprocedural numeric dataflow — unit/dimension inference and
-//! NaN-taint tracking on top of the [`crate::callgraph`]/[`crate::parse`]
-//! layers.
+//! NaN-taint tracking over the [`crate::lexer`] token stream, with its own
+//! table of each function's callees (matched by name).
 //!
 //! Units are seeded from `/// unit: s | s^2 | bit/s | bits | ratio | count`
 //! doc annotations on fields, functions, and `let` bindings, plus built-in
@@ -8,8 +8,7 @@
 //! `*_prob`/`*_frac`/`*_ratio`). Units propagate through arithmetic
 //! expressions (a `Dim` is a pair of time/data exponents, so `bit/s × s`
 //! correctly yields `bits`) and across calls via annotated or inferred
-//! function return units, with the same monotone fixed-point machinery the
-//! RN2xx call-graph effects use.
+//! function return units, iterated to a monotone fixed point.
 //!
 //! | rule             | flags |
 //! |------------------|-------|
@@ -163,8 +162,8 @@ fn unit_from_name(name: &str, method_pos: bool) -> Unit {
 
 /// Workspace-wide numeric environment: annotated units for fields, function
 /// returns, and `let` bindings, plus the NaN-effect tables used by RN406.
-/// Built once over all sources (like the call graph), so a finding in one
-/// file can rest on annotations in another.
+/// Built once over all sources, so a finding in one file can rest on
+/// annotations in another.
 #[derive(Debug, Default)]
 pub struct UnitEnv {
     /// Field name -> annotated dim (`None` = conflicting annotations).

@@ -1,5 +1,4 @@
-//! Rule passes over the token/comment streams produced by [`crate::lexer`],
-//! with structural context from [`crate::parse`].
+//! Rule passes over the token/comment streams produced by [`crate::lexer`].
 //!
 //! Token-level rules:
 //!
@@ -21,7 +20,6 @@
 //! that names what replaced it.
 
 use crate::lexer::{Comment, Lexed, Token, TokenKind};
-use crate::parse;
 
 /// Static registry entry for one rule.
 #[derive(Debug, Clone, Copy)]
@@ -50,10 +48,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "lint-stale",
         id: "RN007",
-    },
-    RuleInfo {
-        name: "hot-loop-lock",
-        id: "RN204",
     },
     RuleInfo {
         name: "relaxed-publish",
@@ -170,6 +164,14 @@ pub const RETIRED: &[RetiredRule] = &[
         replaced_by: PARALLEL_REGION,
     },
     RetiredRule {
+        name: "hot-loop-lock",
+        id: "RN204",
+        replaced_by: &[
+            "clippy::disallowed_types on std::sync::Mutex and std::sync::RwLock",
+            "the telemetry-allocation cases in tests/alloc_counts.rs",
+        ],
+    },
+    RetiredRule {
         name: "io-seam",
         id: "RN301",
         replaced_by: &["clippy::disallowed_methods", "clippy::disallowed_types"],
@@ -249,8 +251,6 @@ pub struct AllowEntry {
 /// runs on every file.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleSet {
-    /// RN204: flag lock acquisition in loop bodies (hot-path files only).
-    pub hot_loop_lock: bool,
     /// RN401–RN406: numeric dataflow (unit/dimension inference and
     /// NaN-taint) in the measurement and kernel files.
     pub numeric: bool,
@@ -259,17 +259,13 @@ pub struct RuleSet {
 impl RuleSet {
     /// Everything on — used for fixtures and the analyzer's own tests.
     pub fn all() -> Self {
-        RuleSet {
-            hot_loop_lock: true,
-            numeric: true,
-        }
+        RuleSet { numeric: true }
     }
 
     /// Is `rule` enabled under this set? Used by stale-allow detection so a
     /// directive for a rule that never runs here is not reported as stale.
     pub fn enables(&self, rule: &str) -> bool {
         match rule {
-            "hot-loop-lock" => self.hot_loop_lock,
             "unit-mismatch" | "unit-dimension" | "unit-sink" | "nan-div" | "nan-domain"
             | "nan-sink" => self.numeric,
             _ => rule_info(rule).is_some(),
@@ -288,14 +284,13 @@ pub struct FileReport {
     pub allows: Vec<AllowEntry>,
 }
 
-/// Analyze one file's source text (no call-graph context: the RN204
-/// transitive check falls back to direct evidence only).
+/// Analyze one file's source text on its own: the RN4xx checks see a
+/// unit environment built from this file alone.
 pub fn analyze_source(file: &str, source: &str, rules: RuleSet) -> FileReport {
-    analyze_source_with(file, source, rules, None, None)
+    analyze_source_with(file, source, rules, None)
 }
 
-/// Analyze one file's source text with optional workspace call-graph
-/// context for the transitive RN2xx checks and optional workspace unit
+/// Analyze one file's source text with an optional workspace unit
 /// environment for the RN4xx numeric-dataflow checks. When `units` is
 /// `None` and the numeric family is enabled, a single-file environment is
 /// built from this source alone (cross-call inference degrades to
@@ -304,18 +299,16 @@ pub fn analyze_source_with(
     file: &str,
     source: &str,
     rules: RuleSet,
-    graph: Option<&crate::callgraph::CallGraph>,
     units: Option<&crate::numeric::UnitEnv>,
 ) -> FileReport {
     let lexed = crate::lexer::lex(source);
     let test_spans = test_mod_spans(&lexed.tokens);
     let fns = function_spans(&lexed.tokens);
-    let parsed = parse::parse(&lexed.tokens);
     let directives = parse_directives(file, &lexed, &test_spans);
 
     let mut raw: Vec<Diagnostic> = directives.syntax_errors.clone();
     nan_rule(file, &lexed.tokens, &mut raw);
-    crate::concurrency::concurrency_rules(file, &lexed.tokens, &parsed, graph, rules, &mut raw);
+    crate::concurrency::relaxed_publish_rule(file, &lexed.tokens, &mut raw);
     if rules.numeric {
         match units {
             Some(env) => crate::numeric::numeric_rules(file, &lexed, &fns, env, &mut raw),
@@ -930,6 +923,11 @@ mod tests {
                 "retired — delete",
                 "std::thread::scope outside routenet_core::par::strided_map",
             ),
+            (
+                "hot-loop-lock",
+                "retired — delete",
+                "clippy::disallowed_types on std::sync::Mutex",
+            ),
             ("io-seam", "retired to clippy", "clippy::disallowed_methods"),
         ] {
             let src =
@@ -987,20 +985,20 @@ mod tests {
 
     #[test]
     fn allow_scopes_to_following_block_not_rest_of_file() {
-        let src = "fn f(xs: &mut [f64], m: &Mutex<u32>) -> u32 {\n\
+        let src = "fn f(xs: &[f64], y: f64) -> u32 {\n\
                        let mut t = 0;\n\
-                       // lint: allow(hot-loop-lock, reason = \"cold path: runs once per run\")\n\
-                       for _ in xs.iter() {\n\
-                           t += *m.lock();\n\
+                       // lint: allow(nan, reason = \"xs is NaN-free by construction\")\n\
+                       for x in xs.iter() {\n\
+                           t += x.partial_cmp(&y).unwrap() as u32;\n\
                        }\n\
-                       for _ in xs.iter() {\n\
-                           t += *m.lock();\n\
+                       for x in xs.iter() {\n\
+                           t += x.partial_cmp(&y).unwrap() as u32;\n\
                        }\n\
                        t\n\
                    }";
         let rep = run(src);
         // Only the second loop (outside the allow's block span) is flagged.
-        assert_eq!(rules_of(&rep), vec!["hot-loop-lock"]);
+        assert_eq!(rules_of(&rep), vec!["nan"]);
         assert_eq!(rep.diagnostics[0].line, 8);
     }
 
@@ -1027,7 +1025,7 @@ mod tests {
     #[test]
     fn rule_ids_are_stable() {
         assert_eq!(rule_id("nan"), "RN003");
-        assert_eq!(rule_id("hot-loop-lock"), "RN204");
+        assert_eq!(rule_id("relaxed-publish"), "RN205");
         assert_eq!(rule_id("nan-sink"), "RN406");
         assert_eq!(rule_id("unheard-of"), "RN000");
         // Retired rules keep their IDs reserved: no live rule takes over a
@@ -1045,6 +1043,7 @@ mod tests {
                 ("parallel-shared-mut", "RN201"),
                 ("parallel-float-reduce", "RN202"),
                 ("parallel-rng", "RN203"),
+                ("hot-loop-lock", "RN204"),
                 ("io-seam", "RN301"),
             ]
         );

@@ -1,6 +1,6 @@
-//! Cross-file contract of the workspace scan: the call graph and unit
-//! environment are built over the whole workspace, and interprocedural
-//! RN204/RN4xx findings report at the *call site*. Editing only a callee's
+//! Cross-file contract of the workspace scan: the unit environment is built
+//! over the whole workspace, and interprocedural RN4xx findings report at
+//! the *call site*. Editing only a callee's
 //! body must therefore surface findings in a caller file that never changed.
 //!
 //! The tests build a tiny synthetic workspace in a temp dir. The caller file
@@ -14,7 +14,7 @@ use std::path::PathBuf;
 /// asserted below is driven purely by callee-side evidence.
 const CALLER: &str = r#"//! Synthetic measurement module.
 
-use crate::helpers::{mean_delay, tally};
+use crate::helpers::mean_delay;
 
 pub struct Telemetry {
     /// unit: s
@@ -31,43 +31,27 @@ pub fn record(t: &mut Telemetry, sum_s: f64, n: f64) {
     let v = mean_delay(sum_s, n);
     t.observe_s(v);
 }
-
-pub fn count_all(items: &[u64], hits: &Hits) {
-    for x in items {
-        tally(hits, x);
-    }
-}
 "#;
 
-/// Callee with a guarded division and a lock-free counter: no evidence
-/// reaches the caller.
+/// Callee with a guarded division: no evidence reaches the caller.
 const CALLEE_CLEAN: &str = r#"//! Callee bodies (the edited file).
 
 pub fn mean_delay(sum_s: f64, n: f64) -> f64 {
     let count = n.max(1.0);
     sum_s / count
 }
-
-pub fn tally(hits: &Hits, x: u64) {
-    hits.count.fetch_add(x, Ordering::Relaxed);
-}
 "#;
 
-/// The same callees after a careless edit: an unguarded denominator (NaN can
-/// now flow into the caller's telemetry sink) and a lock (taken once per
-/// iteration of the caller's hot loop).
+/// The same callee after a careless edit: an unguarded denominator, so NaN
+/// can now flow into the caller's telemetry sink.
 const CALLEE_BUGGY: &str = r#"//! Callee bodies (the edited file).
 
 pub fn mean_delay(sum_s: f64, n: f64) -> f64 {
     sum_s / n
 }
-
-pub fn tally(hits: &Hits, x: u64) {
-    *hits.count.lock() += x;
-}
 "#;
 
-/// Both numeric-scoped and a hot path, so RN4xx and RN204 both run here.
+/// Numeric-scoped, so the RN4xx family reports here.
 const CALLER_REL: &str = "crates/simnet/src/sim.rs";
 const CALLEE_REL: &str = "crates/simnet/src/helpers.rs";
 
@@ -98,10 +82,6 @@ fn callee_edit_resurfaces_findings_in_unchanged_caller() {
     assert!(
         caller.iter().any(|(r, _)| r == "nan-sink"),
         "RN406 lost in caller: {caller:?}"
-    );
-    assert!(
-        caller.iter().any(|(r, _)| r == "hot-loop-lock"),
-        "RN204 lost in caller: {caller:?}"
     );
 
     let _ = fs::remove_dir_all(&root);

@@ -1,8 +1,9 @@
 //! Property test for the report-determinism contract (DESIGN.md "Parallelism
 //! safety contract"): the analyzer's JSON output must be byte-identical
 //! across repeated runs and across any permutation of the input file order.
-//! The call graph and diagnostics are kept in sorted containers precisely so
-//! this holds; a regression here would make the golden tests flaky.
+//! The report is sorted before rendering and the unit environment uses no
+//! hash maps precisely so this holds; a regression here would make the
+//! golden tests flaky.
 
 use routenet_analyzer::{analyze_paths, analyze_workspace};
 use std::path::PathBuf;

@@ -20,7 +20,7 @@ fn main() {
     let args = Args::from_env(USAGE);
     let scale = args.get_or("scale", 0.5f64);
     let seed = args.get_or("seed", 1u64);
-    let epochs = args.get_or("epochs", 20usize);
+    let epochs = args.get_at_least("epochs", 20, 1);
     let protocol = scaled_protocol(scale, seed);
 
     eprintln!("# generating shared datasets...");

@@ -36,19 +36,17 @@ struct Regime {
     capacity_mult: f64,
 }
 
-/// Wall-clock milliseconds of `reps` timed calls of `f(rep)`, after one
-/// untimed warm-up call `f(0)`: the median, the minimum and the maximum.
-fn time_ms(reps: usize, mut f: impl FnMut(usize)) -> [f64; 3] {
-    f(0);
-    let mut ms: Vec<f64> = (0..reps)
-        .map(|r| {
-            let t = Instant::now();
-            f(r);
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    ms.sort_by(f64::total_cmp);
-    [ms[ms.len() / 2], ms[0], ms[ms.len() - 1]]
+/// Wall-clock milliseconds of one call of `f`.
+fn ms(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// The median, the minimum and the maximum of `xs` (not empty).
+fn spread(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    [xs[xs.len() / 2], xs[0], xs[xs.len() - 1]]
 }
 
 fn main() {
@@ -86,7 +84,8 @@ fn main() {
 
     println!(
         "# cost: per-scenario wall-clock, median (min, max) of {reps} reps after one \
-         untimed warm-up call, untrained RouteNet"
+         untimed warm-up call of each, untrained RouteNet; each rep times one simulation, \
+         then one prediction, then one M/M/1 call"
     );
     for r in &regimes {
         println!(
@@ -123,7 +122,7 @@ fn main() {
             let scenario = &sample.scenario;
 
             let mut events = 0u64;
-            let [sim_ms, sim_min, sim_max] = time_ms(reps, |rep| {
+            let mut simulate_once = |rep: usize| {
                 let sim_cfg = SimConfig {
                     seed: rep as u64,
                     ..cfg.sim.clone()
@@ -136,26 +135,45 @@ fn main() {
                 )
                 .unwrap();
                 events = res.events_processed;
-            });
+            };
             // Inference timing includes scenario compilation.
-            let [rn_ms, rn_min, rn_max] = time_ms(reps, |_| {
+            let predict_once = || {
                 assert_eq!(model.predict_scenario(scenario).len(), scenario.n_pairs());
-            });
-            let [mm1_ms, _, _] = time_ms(reps, |_| {
+            };
+            let mm1_once = || {
                 assert_eq!(mm1.predict(scenario).len(), scenario.n_pairs());
-            });
+            };
+            // Alternating the reps puts each simulation and its prediction
+            // moments apart, so a change in the host's speed between reps
+            // moves both sides of that rep's ratio alike.
+            simulate_once(0);
+            predict_once();
+            mm1_once();
+            let (mut sim, mut rn, mut mm1_times, mut ratios) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for rep in 0..reps {
+                let s = ms(|| simulate_once(rep));
+                let p = ms(predict_once);
+                mm1_times.push(ms(mm1_once));
+                sim.push(s);
+                rn.push(p);
+                ratios.push(s / p);
+            }
+            let [sim_ms, sim_min, sim_max] = spread(sim);
+            let [rn_ms, rn_min, rn_max] = spread(rn);
+            let [mm1_ms, _, _] = spread(mm1_times);
+            let [speedup, _, _] = spread(ratios);
 
             println!(
                 "{},{label},{},{},{sim_ms:.1},{sim_min:.1},{sim_max:.1},\
-                 {rn_ms:.1},{rn_min:.1},{rn_max:.1},{mm1_ms:.3},{:.2},{events}",
+                 {rn_ms:.1},{rn_min:.1},{rn_max:.1},{mm1_ms:.3},{speedup:.2},{events}",
                 r.name,
                 scenario.graph.n_nodes(),
                 scenario.n_pairs(),
-                sim_ms / rn_ms
             );
         }
     }
-    println!("# speedup_vs_sim = median simulation time / median RouteNet inference time.");
+    println!("# speedup_vs_sim = median over reps of (simulation time / RouteNet inference time).");
     println!("# Simulation cost grows with the packets simulated (capacities x window);");
     println!("# inference cost depends only on the scenario's size.");
 }

@@ -29,9 +29,10 @@ const USAGE: &str = "drops [--samples 48] [--epochs 30] [--buffer 5] [--seed 1]"
 
 fn main() {
     let args = Args::from_env(USAGE);
-    let samples = args.get_or("samples", 48usize);
-    let epochs = args.get_or("epochs", 30usize);
-    let buffer = args.get_or("buffer", 5usize);
+    // Each evaluation set holds `samples / 2` samples, so 2 is the least.
+    let samples = args.get_at_least("samples", 48, 2);
+    let epochs = args.get_at_least("epochs", 30, 1);
+    let buffer = args.get_at_least("buffer", 5, 1);
     let seed = args.get_or("seed", 1u64);
 
     eprintln!("# generating finite-buffer datasets (K = {buffer} packets)...");

@@ -25,6 +25,7 @@
 
 use routenet_bench::{interrupt, run_experiment_with_control, scaled_protocol, summary_row, Args};
 use routenet_core::prelude::*;
+use routenet_faults::{atomic_write_with, RealFs};
 use routenet_netgraph::NodeId;
 use routenet_obs::Telemetry;
 use std::collections::BTreeMap;
@@ -32,7 +33,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 fn write(path: &Path, content: &str) {
-    routenet_core::checkpoint::atomic_write(path, content.as_bytes())
+    atomic_write_with(&RealFs, path, content.as_bytes())
         .unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     eprintln!("# wrote {}", path.display());
 }
@@ -44,7 +45,7 @@ fn main() {
     let args = Args::from_env(USAGE);
     let scale = args.get_or("scale", 1.0f64);
     let seed = args.get_or("seed", 1u64);
-    let epochs = args.get_or("epochs", 40usize);
+    let epochs = args.get_at_least("epochs", 40, 1);
     let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));
     std::fs::create_dir_all(&out_dir).expect("create output dir");
 

@@ -12,7 +12,9 @@
 use routenet_bench::{interrupt, usage_exit, Args};
 use routenet_core::prelude::*;
 use routenet_dataset::io::{load_jsonl, load_jsonl_lenient};
+use routenet_faults::{atomic_write_with, RealFs};
 use routenet_obs::Telemetry;
+use std::path::Path;
 
 const USAGE: &str = "train-model --train <jsonl> [--val <jsonl>] [--out model.json] [--lenient] \
                      [--epochs 30] [--lr 2e-3] [--batch 8] [--threads 0] [--t-iterations 4] \
@@ -28,14 +30,8 @@ fn main() {
     let out = args.get("out").unwrap_or("model.json").to_string();
     // Every number parses before the telemetry log is created, so a bad
     // value exits 2 without writing a file.
-    let dim = args.get_or("dim", 16usize);
-    let t_iterations = args.get_or("t-iterations", 4usize);
-    if dim < 2 {
-        usage_exit(USAGE, "--dim must be >= 2");
-    }
-    if t_iterations == 0 {
-        usage_exit(USAGE, "--t-iterations must be >= 1");
-    }
+    let dim = args.get_at_least("dim", 16, 2);
+    let t_iterations = args.get_at_least("t-iterations", 4, 1);
     let model_cfg = RouteNetConfig {
         link_state_dim: dim,
         path_state_dim: dim,
@@ -131,7 +127,7 @@ fn main() {
         "best epoch {} (loss {:.5}); saving {out}",
         report.best_epoch, report.best_loss
     );
-    routenet_core::checkpoint::atomic_write(&out, model.to_json().as_bytes()).unwrap_or_else(|e| {
+    atomic_write_with(&RealFs, Path::new(&out), model.to_json().as_bytes()).unwrap_or_else(|e| {
         eprintln!("failed to write {out}: {e}");
         std::process::exit(1);
     });

@@ -21,10 +21,11 @@ fn main() {
     let args = Args::from_env(USAGE);
     let scale = args.get_or("scale", 1.0f64);
     let seed = args.get_or("seed", 1u64);
-    let per_size = args.get_or("per-size", 6usize);
+    let per_size = args.get_at_least("per-size", 6, 1);
+    let epochs = args.get_at_least("epochs", 30, 1);
     let protocol = scaled_protocol(scale, seed);
     let train_cfg = TrainConfig {
-        epochs: args.get_or("epochs", 30usize),
+        epochs,
         verbose: true,
         ..TrainConfig::default()
     };

@@ -109,6 +109,16 @@ impl Args {
         self.value(key, default)
             .unwrap_or_else(|e| usage_exit(self.usage, &e))
     }
+
+    /// [`Args::get_or`] for a count that must be at least `min`, exiting
+    /// with status 2 and the usage line when it is smaller.
+    pub fn get_at_least(&self, key: &str, default: usize, min: usize) -> usize {
+        let v = self.get_or(key, default);
+        if v < min {
+            usage_exit(self.usage, &format!("--{key} must be >= {min}"));
+        }
+        v
+    }
 }
 
 /// Print `error` and `usage` to stderr and exit with status 2.

@@ -210,6 +210,14 @@ const OUT_OF_RANGE: &[(&str, &[&str])] = &[
     ("simulate", &["--warmup", "500"]),
     ("train-model", &["--dim", "0"]),
     ("train-model", &["--t-iterations", "0"]),
+    ("varsize", &["--per-size", "0"]),
+    ("varsize", &["--epochs", "0"]),
+    ("ablation", &["--epochs", "0"]),
+    ("report", &["--epochs", "0"]),
+    ("drops", &["--samples", "0"]),
+    ("drops", &["--samples", "1"]),
+    ("drops", &["--buffer", "0"]),
+    ("drops", &["--epochs", "0"]),
 ];
 
 #[test]

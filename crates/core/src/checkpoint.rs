@@ -4,21 +4,25 @@
 //! Durability model:
 //!
 //! * **Atomic**: every file is written to a temporary sibling, flushed to
-//!   disk, and renamed into place ([`atomic_write`]). A crash mid-write can
-//!   never leave a torn file under the final name — readers see either the
-//!   old contents or the new contents, nothing in between.
+//!   disk, and renamed into place (`routenet_faults::atomic_write_with`). A
+//!   crash mid-write can never leave a torn file under the final name —
+//!   readers see either the old contents or the new contents, nothing in
+//!   between.
 //! * **Checksummed**: checkpoint files carry a header with a hand-rolled
-//!   CRC32 over the payload ([`write_checksummed`] / [`read_checksummed`]),
-//!   so silent corruption (bit rot, truncated copies) is detected at load
-//!   time with a typed error instead of a garbage model.
+//!   CRC32 over the payload ([`write_checksummed_with`] /
+//!   [`read_checksummed_with`]), so silent corruption (bit rot, truncated
+//!   copies) is detected at load time with a typed error instead of a
+//!   garbage model.
 //! * **Complete**: [`TrainState`] captures everything a training run needs
 //!   to continue bit-identically — parameters, full Adam state (step count
 //!   and both moment vectors), the fitted normalizer, the shuffle RNG
 //!   state, the loss curve, the best-validation snapshot, and the
 //!   divergence-recovery trackers.
 //!
-//! The dataset writer (`routenet-dataset`) reuses [`atomic_write`] so *all*
-//! persistence in the workspace goes through the same rename-based path.
+//! Every write takes an explicit `routenet_faults::FaultFs` seam, so the
+//! fault-injection tests reach it. The dataset writer, the telemetry sink
+//! and the binaries' output files call the same `atomic_write_with`, so
+//! *all* persistence in the workspace goes through one rename-based path.
 
 use crate::features::Normalizer;
 use crate::model::{RouteNet, RouteNetConfig};
@@ -127,36 +131,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Atomic file writes
-// ---------------------------------------------------------------------------
-
-/// Write `bytes` to `path` atomically: write a temporary sibling, fsync it,
-/// then rename over the destination. Readers never observe a torn file.
-///
-/// Delegates to the canonical protocol in `routenet-faults`
-/// ([`atomic_write_with`]), whose temp names carry the pid *and* a
-/// per-process atomic counter so concurrent writers to the same path never
-/// clobber each other's temp file. Use [`atomic_write_with`] directly to
-/// route the write through an injected seam.
-#[must_use = "an ignored write error means the checkpoint silently does not exist"]
-pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    atomic_write_with(&RealFs, path.as_ref(), bytes)
-}
-
-// ---------------------------------------------------------------------------
 // Checksummed container
 // ---------------------------------------------------------------------------
 
-/// Atomically write `payload` wrapped in a checksummed container:
-/// one ASCII header line (`ROUTENET-CKPT v1 crc32=<hex> len=<n>`)
-/// followed by the raw payload bytes.
-#[must_use = "an ignored write error means the checkpoint silently does not exist"]
-pub fn write_checksummed(path: impl AsRef<Path>, payload: &[u8]) -> Result<(), CheckpointError> {
-    write_checksummed_with(&RealFs, path.as_ref(), payload)
-}
-
-/// [`write_checksummed`] routed through an explicit IO seam, for fault
-/// injection and retry stacking.
+/// Atomically write `payload` through the IO seam `fs`, wrapped in a
+/// checksummed container: one ASCII header line
+/// (`ROUTENET-CKPT v1 crc32=<hex> len=<n>`) followed by the raw payload
+/// bytes.
 #[must_use = "an ignored write error means the checkpoint silently does not exist"]
 pub fn write_checksummed_with(
     fs: &dyn FaultFs,
@@ -174,15 +155,8 @@ pub fn write_checksummed_with(
     Ok(())
 }
 
-/// Read a container written by [`write_checksummed`], verifying the length
-/// and CRC32 before returning the payload.
-#[must_use = "dropping the result loses both the payload and any corruption diagnosis"]
-pub fn read_checksummed(path: impl AsRef<Path>) -> Result<Vec<u8>, CheckpointError> {
-    read_checksummed_with(&RealFs, path.as_ref())
-}
-
-/// [`read_checksummed`] routed through an explicit IO seam, for fault
-/// injection (short reads, EIO) and retry stacking.
+/// Read a container written by [`write_checksummed_with`] through the IO
+/// seam `fs`, verifying the length and CRC32 before returning the payload.
 #[must_use = "dropping the result loses both the payload and any corruption diagnosis"]
 pub fn read_checksummed_with(fs: &dyn FaultFs, path: &Path) -> Result<Vec<u8>, CheckpointError> {
     let bytes = fs.read(path)?;
@@ -380,9 +354,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rn-aw-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("file.txt");
-        atomic_write(&path, b"first").unwrap();
+        atomic_write_with(&RealFs, &path, b"first").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        atomic_write(&path, b"second").unwrap();
+        atomic_write_with(&RealFs, &path, b"second").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
         // No temp files left behind.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -400,31 +374,31 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("payload.ckpt");
         let payload = b"{\"hello\": [1, 2, 3]}";
-        write_checksummed(&path, payload).unwrap();
-        assert_eq!(read_checksummed(&path).unwrap(), payload);
+        write_checksummed_with(&RealFs, &path, payload).unwrap();
+        assert_eq!(read_checksummed_with(&RealFs, &path).unwrap(), payload);
 
         // Flip one payload byte: the checksum must catch it.
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        match read_checksummed(&path) {
+        match read_checksummed_with(&RealFs, &path) {
             Err(CheckpointError::ChecksumMismatch { .. }) => {}
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
 
         // Truncate the payload: caught by the length field first.
-        write_checksummed(&path, payload).unwrap();
+        write_checksummed_with(&RealFs, &path, payload).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        match read_checksummed(&path) {
+        match read_checksummed_with(&RealFs, &path) {
             Err(CheckpointError::Truncated { .. }) => {}
             other => panic!("expected truncation error, got {other:?}"),
         }
 
         // Not a checkpoint at all.
         std::fs::write(&path, b"just some text\nmore text\n").unwrap();
-        match read_checksummed(&path) {
+        match read_checksummed_with(&RealFs, &path) {
             Err(CheckpointError::Format(_)) => {}
             other => panic!("expected format error, got {other:?}"),
         }

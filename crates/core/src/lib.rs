@@ -48,7 +48,7 @@ pub mod trainer;
 pub mod prelude {
     pub use crate::baseline::{FnnBaseline, FnnConfig, Mg1Baseline, Mm1Baseline, Mm1kBaseline};
     pub use crate::batch::{BatchPosition, BatchedScenario};
-    pub use crate::checkpoint::{atomic_write, CheckpointError, TrainState};
+    pub use crate::checkpoint::{CheckpointError, TrainState};
     pub use crate::eval::{
         collect_by_topology, collect_predictions, emit_eval_telemetry, top_n_paths_by_delay,
         PairedEval,

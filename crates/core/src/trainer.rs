@@ -785,7 +785,6 @@ pub fn train_with_control(
             if state.rollbacks >= cfg.max_rollbacks {
                 install_state(&state, model, &mut opt, &mut rng);
                 if let Some(path) = &cfg.checkpoint_path {
-                    // lint: allow(hot-loop-lock, reason = "terminal divergence exit: one telemetry lock on the way out, not per-iteration work")
                     save_checkpoint(&state, path, &cfg.fs, &cfg.telemetry)?;
                 }
                 return Err(TrainError::Diverged {
@@ -874,7 +873,6 @@ pub fn train_with_control(
         state.epoch_next = epoch + 1;
 
         if let Some(path) = &cfg.checkpoint_path {
-            // lint: allow(hot-loop-lock, reason = "epoch-boundary checkpoint telemetry: one lock per epoch, not per-iteration work")
             save_checkpoint(&state, path, &cfg.fs, &cfg.telemetry)?;
             state_saved = true;
         }
@@ -1448,7 +1446,8 @@ mod tests {
                 ..cfg4.clone()
             };
             train(&mut half, train_set, val_set, &cfg2).unwrap();
-            let payload = crate::checkpoint::read_checksummed(&path).unwrap();
+            let payload =
+                crate::checkpoint::read_checksummed_with(&routenet_faults::RealFs, &path).unwrap();
             let json = String::from_utf8(payload).unwrap();
             let old = json.replacen(
                 "\"shuffle_seed\":",
@@ -1456,7 +1455,12 @@ mod tests {
                 1,
             );
             assert_ne!(json, old, "expected a train_config to extend");
-            crate::checkpoint::write_checksummed(&path, old.as_bytes()).unwrap();
+            crate::checkpoint::write_checksummed_with(
+                &routenet_faults::RealFs,
+                &path,
+                old.as_bytes(),
+            )
+            .unwrap();
 
             let mut resumed = tiny_model();
             let cfg_resume = TrainConfig {

@@ -8,6 +8,11 @@
 //! same operation sequence against the same plan fires the same faults —
 //! the property the chaos corpus is built on.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a plan's match counters are shared by every clone of the seam handle it is installed into"
+)]
+
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -7,6 +7,11 @@
 //! routed through the [`Sleeper`] trait so tests pin the exact backoff
 //! schedule without wall-clock waits.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "RecordingSleeper logs delays through &self, behind the Sleeper trait shared across threads"
+)]
+
 use std::io;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;

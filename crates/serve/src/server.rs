@@ -19,6 +19,11 @@
 //! daemon is busiest: the file sink rewrites its whole log on every emit, so
 //! each event costs O(events so far).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the query queue is the daemon's one lock, taken once per enqueue and once per micro-batch drain"
+)]
+
 use crate::engine::Engine;
 use crate::wire::{Request, Response};
 use routenet_core::Scenario;

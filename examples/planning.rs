@@ -87,7 +87,7 @@ fn main() {
         evaluations += 1;
         results.push((lid, mean_delay(&preds)));
     }
-    results.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+    results.sort_by(|a, b| a.1.total_cmp(&b.1));
     println!("current mean delay: {:.1} ms", current * 1e3);
     println!("top-5 upgrades by predicted mean delay after upgrade:");
     for (lid, d) in results.iter().take(5) {

@@ -102,7 +102,7 @@ fn main() {
     // ---- Structural bottlenecks (routing-independent) ------------------
     let bc = routenet_netgraph::algo::edge_betweenness(&sample.scenario.graph);
     let mut central: Vec<(usize, f64)> = bc.iter().cloned().enumerate().collect();
-    central.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    central.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\nstructural bottlenecks by edge betweenness (topology-only):");
     for (lid, score) in central.iter().take(5) {
         let link = sample.scenario.graph.link(LinkId(*lid)).unwrap();

@@ -6,9 +6,10 @@
 # Usage: scripts/check.sh [--quick]
 #   --quick   pre-commit loop: formatting, the library lint policy (panics,
 #             casts, float equality, hash-order iteration, discarded errors,
-#             direct std::fs), the analyzer gate (the same full scan as the
-#             full mode), and the analyzer's own test suite — no all-targets
-#             clippy, no release build, no workspace tests.
+#             direct std::fs, std::sync locks), the analyzer gate (the same
+#             full scan as the full mode), and the analyzer's own test
+#             suite — no all-targets clippy, no release build, no workspace
+#             tests.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,7 +58,7 @@ LIBRARY_LINTS=(
     -D clippy::let_underscore_must_use  # RN102 error-discard
     -D clippy::unused_result_ok
     -D clippy::disallowed_methods       # RN101 determinism, RN202/RN203 one parallel region, RN301 io-seam
-    -D clippy::disallowed_types         # RN301 io-seam
+    -D clippy::disallowed_types         # RN301 io-seam, RN204 hot-loop-lock (std::sync locks)
 )
 step "cargo clippy --lib (library lint policy)"
 cargo clippy --workspace --lib -- -D warnings "${LIBRARY_LINTS[@]}"
@@ -67,17 +68,20 @@ if [[ "$QUICK" -eq 0 ]]; then
 fi
 
 # The analyzer checks what clippy cannot: NaN-unsound comparisons, unchecked
-# invariants, locking in hot loops, relaxed publication, and unit/NaN
-# dataflow (rule table in CONTRIBUTING.md). Racing writes in parallel code
-# are the borrow checker's (`unsafe_code` is denied workspace-wide; it
-# replaced RN201), hot-loop allocation is measured by tests/alloc_counts.rs
-# (RN103), and parallel determinism rests on one scoped-thread helper,
+# invariants, relaxed publication, and unit/NaN dataflow (rule table in
+# CONTRIBUTING.md). Racing writes in parallel code are the borrow checker's
+# (`unsafe_code` is denied workspace-wide; it replaced RN201), hot-loop
+# allocation is measured by tests/alloc_counts.rs (RN103), and parallel
+# determinism rests on one scoped-thread helper,
 # routenet_core::par::strided_map, that the library clippy step above keeps
 # the only parallel region, plus the 1-vs-N byte-identity tests in the
-# workspace test step (RN202, RN203). Every finding fails the
+# workspace test step (RN202, RN203). Locks (RN204) are the library clippy
+# step's disallowed std::sync::Mutex and RwLock, and tests/alloc_counts.rs
+# keeps telemetry calls, the one lock the hot loops can reach, out of the
+# simulator's event loop and the training epoch. Every finding fails the
 # gate, so the rule registry alone decides what blocks CI. --quick runs the
-# same whole-workspace scan: the call graph and unit environment span the
-# whole tree either way.
+# same whole-workspace scan: the unit environment spans the whole tree
+# either way.
 #
 # The scan runs under a wall-clock budget of ANALYZER_BUDGET_S seconds
 # (default 20; raise it on slow machines), so a rule that slows the gate down

@@ -3,9 +3,13 @@
 //! and served) and the training epoch. A counting global allocator measures
 //! every heap allocation, including those made inside callees, and each test
 //! pins how the count grows with the loop's trip count, so one allocation
-//! added per iteration fails here. Two more cases pin the tape arena under
-//! passes of mixed shapes: the memory its pool keeps, and that its misses
-//! stop.
+//! added per iteration fails here. The simulator and training cases also
+//! keep telemetry out of those loops: every write to the telemetry registry
+//! (the one lock the loops can reach) allocates its key, so the allocations
+//! an in-memory `Telemetry` adds over a disabled one, and the events it
+//! records, must not grow with the trip count either. Two more cases pin
+//! the tape arena under passes of mixed shapes: the memory its pool keeps,
+//! and that its misses stop.
 //!
 //! Counts are per thread: libtest runs tests on parallel threads, and each
 //! test only reads its own thread's counter. Every measured call therefore
@@ -93,19 +97,29 @@ fn nsfnet_scenario(seed: u64) -> (Graph, RoutingScheme, TrafficMatrix) {
     (graph, routing, traffic)
 }
 
-/// Allocations of one `simulate` call over `duration_s` with `buffer_pkts`,
-/// and its events.
-fn simulation(duration_s: f64, buffer_pkts: Option<usize>) -> (u64, u64) {
+/// Allocations of one `simulate` call over `duration_s` with `buffer_pkts`
+/// and `telemetry`, and its events.
+fn simulation(duration_s: f64, buffer_pkts: Option<usize>, telemetry: &Telemetry) -> (u64, u64) {
     let (graph, routing, traffic) = nsfnet_scenario(7);
     let cfg = SimConfig {
         duration_s,
         warmup_s: 2.0,
         buffer_pkts,
         seed: 3,
+        telemetry: telemetry.clone(),
         ..SimConfig::default()
     };
     let (n, res) = allocations(|| simulate(&graph, &routing, &traffic, &cfg).unwrap());
     (n, res.events_processed)
+}
+
+/// Allocations an in-memory [`Telemetry`] adds to `run` over a disabled
+/// one, and the events it recorded.
+fn telemetry_cost(run: impl Fn(&Telemetry) -> u64) -> (u64, usize) {
+    let disabled = run(&Telemetry::disabled());
+    let telemetry = Telemetry::in_memory("alloc_counts", "telemetry");
+    let enabled = run(&telemetry);
+    (enabled - disabled, telemetry.records().len())
 }
 
 /// Extra allocations a 4x longer simulation may make: the event heap, the
@@ -117,8 +131,8 @@ const SIM_EXTRA_ALLOCS: u64 = 16;
 #[test]
 fn simulator_event_loop_does_not_allocate_per_event() {
     for buffer_pkts in [None, Some(8)] {
-        let (short_allocs, short_events) = simulation(20.0, buffer_pkts);
-        let (long_allocs, long_events) = simulation(80.0, buffer_pkts);
+        let (short_allocs, short_events) = simulation(20.0, buffer_pkts, &Telemetry::disabled());
+        let (long_allocs, long_events) = simulation(80.0, buffer_pkts, &Telemetry::disabled());
         assert!(
             long_events > 3 * short_events,
             "the long run must process many more events: {short_events} -> {long_events}"
@@ -128,6 +142,12 @@ fn simulator_event_loop_does_not_allocate_per_event() {
             extra <= SIM_EXTRA_ALLOCS,
             "buffer {buffer_pkts:?}: {short_allocs} -> {long_allocs} allocations \
              for {short_events} -> {long_events} events"
+        );
+        let [short_tel, long_tel] =
+            [20.0, 80.0].map(|d| telemetry_cost(|t| simulation(d, buffer_pkts, t).0));
+        assert_eq!(
+            short_tel, long_tel,
+            "buffer {buffer_pkts:?}: (allocations, events) telemetry adds at 20 s and 80 s"
         );
     }
 }
@@ -282,6 +302,32 @@ fn every_epoch_after_the_first_allocates_the_same_pinned_count() {
         per_epoch,
         vec![EPOCH_ALLOCS; 2],
         "allocations of 2..=4 epochs: {counts:?}"
+    );
+}
+
+/// Six training samples in one minibatch per epoch against six of one
+/// sample each: the allocations and events telemetry adds must not change.
+#[test]
+fn training_calls_telemetry_per_epoch_not_per_minibatch() {
+    let data = tiny_dataset();
+    let (train_set, val_set) = data.split_at(6);
+    let [one, six] = [6, 1].map(|batch_size| {
+        telemetry_cost(|telemetry| {
+            let cfg = TrainConfig {
+                epochs: 2,
+                batch_size,
+                lr: 3e-3,
+                threads: 1,
+                telemetry: telemetry.clone(),
+                ..TrainConfig::default()
+            };
+            let mut model = untrained_model(2);
+            allocations(|| train(&mut model, train_set, val_set, &cfg).unwrap()).0
+        })
+    });
+    assert_eq!(
+        one, six,
+        "(allocations, events) telemetry adds at 1 and 6 minibatches per epoch"
     );
 }
 
