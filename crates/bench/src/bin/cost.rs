@@ -51,7 +51,7 @@ fn spread(mut xs: Vec<f64>) -> [f64; 3] {
 
 fn main() {
     let args = Args::from_env(USAGE);
-    let reps = args.get_or("reps", 5usize).max(1);
+    let reps = args.get_at_least("reps", 5, 1);
 
     let protocol = ProtocolConfig::default();
     let regimes = [

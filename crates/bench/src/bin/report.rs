@@ -16,21 +16,31 @@
 //!   (the overlap with the true top 10 goes to `summary.txt`)
 //! - `results/table1.txt` — the §2.1 generalization table: RouteNet vs
 //!   M/M/1 vs M/G/1 vs FNN per topology
+//! - `results/varsize.csv` — the abstract's variable-size claim: RouteNet
+//!   vs M/M/1 on fresh random graphs of 10 to 50 nodes
+//! - `results/ablation.csv` — §2.1's hyperparameter adaptation: evaluation
+//!   error vs message-passing iterations T and state width; the main model
+//!   fills its own row and six more models train on the same datasets
+//! - `results/drops.csv` — extension: a drop-head RouteNet, trained on its
+//!   own finite-buffer datasets, vs M/M/1/K blocking
 //! - `results/training.csv` — loss curve
 //! - `results/model.json` — the trained checkpoint
-//! - `results/summary.txt` — headline numbers
+//! - `results/summary.txt` — headline numbers and every wall-clock time
 //!
-//! The Fig. 2 scatter and Fig. 3 CDFs are also drawn as terminal charts on
-//! stderr.
+//! `--scale`, `--epochs` and `--seed` drive every section. The Fig. 2
+//! scatter and Fig. 3 CDFs are also drawn as terminal charts on stderr.
 
-use routenet_bench::{interrupt, run_experiment_with_control, scaled_protocol, summary_row, Args};
+use routenet_bench::{interrupt, scaled_protocol, summary_row, usage_exit, Args};
 use routenet_core::prelude::*;
+use routenet_dataset::gen::{generate_dataset, GenConfig, TopologySpec};
+use routenet_dataset::split::{generate_paper_datasets, PaperDatasets, ProtocolConfig};
 use routenet_faults::{atomic_write_with, RealFs};
 use routenet_netgraph::NodeId;
 use routenet_obs::Telemetry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::time::Instant;
 
 fn write(path: &Path, content: &str) {
     atomic_write_with(&RealFs, path, content.as_bytes())
@@ -44,56 +54,69 @@ const USAGE: &str =
 fn main() {
     let args = Args::from_env(USAGE);
     let scale = args.get_or("scale", 1.0f64);
+    if !(scale.is_finite() && scale > 0.0) {
+        usage_exit(USAGE, "--scale must be finite and positive");
+    }
     let seed = args.get_or("seed", 1u64);
-    let epochs = args.get_at_least("epochs", 40, 1);
+    let epochs = args.get_or("epochs", 40usize);
     let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
-
-    let protocol = scaled_protocol(scale, seed);
-    let tel_path = out_dir.join("report.telemetry.jsonl");
-    let tel = if args.get("no-telemetry").is_some() {
-        Telemetry::disabled()
-    } else {
-        Telemetry::to_file("report", &format!("scale={scale} seed={seed}"), &tel_path)
-    };
     let ckpt_path = out_dir.join("train-state.ckpt");
-    let train_cfg = TrainConfig {
+    let mut train_cfg = TrainConfig {
         epochs,
         verbose: true,
         checkpoint_path: Some(ckpt_path.to_string_lossy().into_owned()),
         resume_from: args
             .get("resume")
             .map(|_| ckpt_path.to_string_lossy().into_owned()),
-        telemetry: tel.clone(),
         ..TrainConfig::default()
     };
+    train_cfg
+        .validate()
+        .unwrap_or_else(|e| usage_exit(USAGE, &e.to_string()));
+    std::fs::create_dir_all(&out_dir).expect("create output dir");
+
+    let tel_path = out_dir.join("report.telemetry.jsonl");
+    let tel = if args.get("no-telemetry").is_some() {
+        Telemetry::disabled()
+    } else {
+        Telemetry::to_file("report", &format!("scale={scale} seed={seed}"), &tel_path)
+    };
+    train_cfg.telemetry = tel.clone();
+    // The same telemetry handle instruments dataset generation.
+    let protocol = ProtocolConfig {
+        telemetry: tel.clone(),
+        ..scaled_protocol(scale, seed)
+    };
+    eprintln!(
+        "# generating datasets: {} train/topology, {} eval/topology, {} geant2",
+        protocol.train_per_topology, protocol.eval_per_topology, protocol.eval_geant2
+    );
+    let t0 = Instant::now();
+    let data = generate_paper_datasets(&protocol);
+    let gen_seconds = t0.elapsed().as_secs_f64();
+    eprintln!("# generated in {gen_seconds:.1}s; training...");
     // Ctrl-C checkpoints the last epoch boundary and exits cleanly; rerun
     // with --resume to continue the run from that checkpoint.
     let control = interrupt::ctrl_c_control();
-    let exp = run_experiment_with_control(
-        &protocol,
-        RouteNetConfig::default(),
-        &train_cfg,
-        true,
-        &control,
-    )
-    .unwrap_or_else(|e| panic!("training failed: {e}"));
-    if exp.report.interrupted {
-        eprintln!(
-            "# interrupted; training state saved to {} — rerun with --resume to continue",
-            ckpt_path.display()
-        );
-        if let Err(e) = tel.finish() {
-            eprintln!("warning: telemetry log incomplete: {e}");
-        }
-        return;
+    let mut model = RouteNet::new(RouteNetConfig::default());
+    let t1 = Instant::now();
+    let train_report = train_with_control(&mut model, &data.train, &data.val, &train_cfg, &control)
+        .unwrap_or_else(|e| panic!("training failed: {e}"));
+    let train_seconds = t1.elapsed().as_secs_f64();
+    eprintln!(
+        "# trained in {train_seconds:.1}s; best epoch {} (loss {:.5})",
+        train_report.best_epoch, train_report.best_loss
+    );
+    if train_report.interrupted {
+        eprintln!("# training state saved to {}", ckpt_path.display());
+        return stop_interrupted(&tel, "main training");
     }
     let mm1 = Mm1Baseline::default();
     let mg1 = Mg1Baseline::default(); // knows the true (deterministic) size distribution
 
     // ---- training curve ------------------------------------------------
     let mut s = String::from("epoch,train_loss,val_loss,lr\n");
-    for e in &exp.report.epochs {
+    for e in &train_report.epochs {
         writeln!(
             s,
             "{},{:.6},{},{:.2e}",
@@ -107,11 +130,11 @@ fn main() {
     write(&out_dir.join("training.csv"), &s);
 
     // ---- model checkpoint ----------------------------------------------
-    write(&out_dir.join("model.json"), &exp.model.to_json());
+    write(&out_dir.join("model.json"), &model.to_json());
 
     // ---- fig2: regression scatter on unseen Geant2 ----------------------
-    let sample = &exp.data.eval_geant2[0];
-    let preds = exp.model.predict_scenario(&sample.scenario);
+    let sample = &data.eval_geant2[0];
+    let preds = model.predict_scenario(&sample.scenario);
     let mut s = String::from("true_delay_s,predicted_delay_s\n");
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for (p, t) in preds.iter().zip(&sample.targets) {
@@ -138,15 +161,15 @@ fn main() {
     // ---- fig3: CDFs ------------------------------------------------------
     let mut s = String::from("series,relative_error,cdf\n");
     let sets: [(&str, &Vec<Sample>); 3] = [
-        ("NSFNET-14", &exp.data.eval_nsfnet),
-        ("Synth-50", &exp.data.eval_synth),
-        ("Geant2-24-unseen", &exp.data.eval_geant2),
+        ("NSFNET-14", &data.eval_nsfnet),
+        ("Synth-50", &data.eval_synth),
+        ("Geant2-24-unseen", &data.eval_geant2),
     ];
     let mut summaries = String::new();
     let mut per_topology = BTreeMap::new();
     for (name, set) in sets {
         for (pname, ev) in [
-            ("RouteNet", collect_predictions(&exp.model, set)),
+            ("RouteNet", collect_predictions(&model, set)),
             ("MM1", collect_predictions(&mm1, set)),
         ] {
             let re = relative_errors(&ev.delay_pred, &ev.delay_true);
@@ -172,7 +195,7 @@ fn main() {
     }
     emit_eval_telemetry(&tel, "", &per_topology);
     // The paper's figure aggregates all three topologies.
-    let all = collect_predictions(&exp.model, &exp.data.eval_all());
+    let all = collect_predictions(&model, &data.eval_all());
     for (x, f) in cdf_points(&relative_errors(&all.delay_pred, &all.delay_true), 50) {
         writeln!(s, "RouteNet/all,{x:.6},{f:.4}").unwrap();
     }
@@ -196,7 +219,7 @@ fn main() {
 
     // ---- fig4: top-10 ----------------------------------------------------
     let top_n = 10;
-    let top = top_n_paths_by_delay(&exp.model, sample, top_n);
+    let top = top_n_paths_by_delay(&model, sample, top_n);
     let mut s = String::from("rank,src,dst,predicted_delay_ms,simulated_delay_ms,hops,route\n");
     for (rank, &(src, dst, pred, truth)) in top.iter().enumerate() {
         let (src, dst) = (NodeId(src), NodeId(dst));
@@ -243,8 +266,7 @@ fn main() {
         .count();
 
     // ---- table1 ----------------------------------------------------------
-    let nsf_train: Vec<Sample> = exp
-        .data
+    let nsf_train: Vec<Sample> = data
         .train
         .iter()
         .filter(|x| x.topology == "NSFNET")
@@ -260,20 +282,17 @@ fn main() {
     )
     .unwrap();
     for (name, set) in [
-        ("NSFNET-14 (seen)", &exp.data.eval_nsfnet),
-        ("Synth-50 (seen)", &exp.data.eval_synth),
-        ("Geant2-24 (UNSEEN)", &exp.data.eval_geant2),
+        ("NSFNET-14 (seen)", &data.eval_nsfnet),
+        ("Synth-50 (seen)", &data.eval_synth),
+        ("Geant2-24 (UNSEEN)", &data.eval_geant2),
     ] {
-        let mut rows: Vec<(&str, Option<PairedEval>)> = vec![
-            ("RouteNet", Some(collect_predictions(&exp.model, set))),
+        let fnn_applies = set.iter().all(|x| fnn.supports(&x.scenario));
+        let rows = [
+            ("RouteNet", Some(collect_predictions(&model, set))),
             ("M/M/1", Some(collect_predictions(&mm1, set))),
             ("M/G/1", Some(collect_predictions(&mg1, set))),
+            ("FNN", fnn_applies.then(|| collect_predictions(&fnn, set))),
         ];
-        if set.iter().all(|x| fnn.supports(&x.scenario)) {
-            rows.push(("FNN", Some(collect_predictions(&fnn, set))));
-        } else {
-            rows.push(("FNN", None));
-        }
         for (pname, ev) in rows {
             match ev {
                 Some(ev) => {
@@ -307,22 +326,43 @@ fn main() {
     .unwrap();
     write(&out_dir.join("table1.txt"), &s);
 
+    // ---- varsize, ablation, drops ----------------------------------------
+    write(&out_dir.join("varsize.csv"), &varsize(&model, &protocol));
+    // The side models train like the main one, without its checkpoint and
+    // telemetry: a rerun with --resume skips the main training and redoes
+    // them.
+    let side_cfg = TrainConfig {
+        checkpoint_path: None,
+        resume_from: None,
+        telemetry: Telemetry::disabled(),
+        ..train_cfg.clone()
+    };
+    let Some((s, ablation_times)) = ablation(&model, train_seconds, &data, &side_cfg, &control)
+    else {
+        return stop_interrupted(&tel, "ablation");
+    };
+    write(&out_dir.join("ablation.csv"), &s);
+    let Some((s, drops_line)) = drops(&protocol, &side_cfg, &control) else {
+        return stop_interrupted(&tel, "drops");
+    };
+    write(&out_dir.join("drops.csv"), &s);
+
     // ---- summary ---------------------------------------------------------
     let mut s = String::new();
     writeln!(s, "RouteNet generalization report").unwrap();
     writeln!(
         s,
         "scale={scale} epochs={epochs} seed={seed} train_samples={} (gen {:.1}s, train {:.1}s)",
-        exp.data.train.len(),
-        exp.gen_seconds,
-        exp.train_seconds
+        data.train.len(),
+        gen_seconds,
+        train_seconds
     )
     .unwrap();
-    writeln!(s, "model parameters: {}", exp.model.n_parameters()).unwrap();
+    writeln!(s, "model parameters: {}", model.n_parameters()).unwrap();
     writeln!(
         s,
         "best epoch {} val loss {:.5}",
-        exp.report.best_epoch, exp.report.best_loss
+        train_report.best_epoch, train_report.best_loss
     )
     .unwrap();
     writeln!(
@@ -338,6 +378,8 @@ fn main() {
         "fig4 top-{top_n} overlap with ground truth: {fig4_hits}/{top_n}"
     )
     .unwrap();
+    writeln!(s, "ablation train seconds:{ablation_times}").unwrap();
+    writeln!(s, "{drops_line}").unwrap();
     writeln!(s, "\nper-topology summaries:\n{summaries}").unwrap();
     write(&out_dir.join("summary.txt"), &s);
     println!("{s}");
@@ -348,4 +390,188 @@ fn main() {
             Err(e) => eprintln!("warning: telemetry log incomplete: {e}"),
         }
     }
+}
+
+/// Report a Ctrl-C that stopped the `section`'s training and close the
+/// telemetry log; `--resume` continues from the main model's checkpoint.
+fn stop_interrupted(tel: &Telemetry, section: &str) {
+    eprintln!("# interrupted during the {section}; rerun with --resume to continue");
+    if let Err(e) = tel.finish() {
+        eprintln!("warning: telemetry log incomplete: {e}");
+    }
+}
+
+/// The abstract's variable-size claim: the trained model and M/M/1 on a
+/// fresh random graph per size, never seen in training (a new graph, not
+/// only new scenarios), labelled over the protocol's window.
+fn varsize(model: &RouteNet, protocol: &ProtocolConfig) -> String {
+    let mm1 = Mm1Baseline::default();
+    let mut s = String::from("nodes,samples,paths,routenet_medRE,routenet_r,mm1_medRE,mm1_r\n");
+    for n in [10usize, 20, 30, 40, 50] {
+        let mut cfg = GenConfig::new(
+            TopologySpec::Synthetic {
+                n,
+                topo_seed: 777_000 + n as u64,
+            },
+            protocol.eval_per_topology,
+            900_000 + n as u64,
+        );
+        cfg.sim.duration_s = protocol.sim_duration_s;
+        cfg.sim.warmup_s = protocol.sim_warmup_s;
+        let set = generate_dataset(&cfg);
+        let delay = |p: &dyn KpiPredictor| {
+            collect_predictions(p, &set)
+                .delay_summary()
+                .expect("generated sets are non-empty")
+        };
+        let (rn, qa, samples) = (delay(model), delay(&mm1), set.len());
+        writeln!(
+            s,
+            "{n},{samples},{},{:.4},{:.4},{:.4},{:.4}",
+            rn.n, rn.median_re, rn.pearson_r, qa.median_re, qa.pearson_r
+        )
+        .unwrap();
+    }
+    s
+}
+
+/// The §2.1 hyperparameter sweep: T with the default state width, then the
+/// width with the default T. The row that matches the main model's
+/// configuration is the main model; every other row trains a fresh model on
+/// the same datasets with `cfg`. Returns the CSV and each row's training
+/// seconds, or `None` when Ctrl-C stopped a training.
+fn ablation(
+    main: &RouteNet,
+    main_seconds: f64,
+    data: &PaperDatasets,
+    cfg: &TrainConfig,
+    control: &TrainControl,
+) -> Option<(String, String)> {
+    let mut csv = String::from("t_iterations,state_dim,params,medRE_seen,medRE_unseen\n");
+    let mut times = String::new();
+    for (t, dim) in [(1, 16), (2, 16), (4, 16), (8, 16), (4, 8), (4, 24), (4, 32)] {
+        let config = RouteNetConfig {
+            link_state_dim: dim,
+            path_state_dim: dim,
+            readout_hidden: 2 * dim,
+            t_iterations: t,
+            ..RouteNetConfig::default()
+        };
+        let trained;
+        let (model, seconds) = if config == *main.config() {
+            (main, main_seconds)
+        } else {
+            eprintln!("# ablation: training T={t} dim={dim}...");
+            let mut m = RouteNet::new(config);
+            let t0 = Instant::now();
+            let report = train_with_control(&mut m, &data.train, &data.val, cfg, control)
+                .unwrap_or_else(|e| panic!("training failed for T={t} dim={dim}: {e}"));
+            if report.interrupted {
+                return None;
+            }
+            trained = m;
+            (&trained, t0.elapsed().as_secs_f64())
+        };
+        let mut seen = collect_predictions(model, &data.eval_nsfnet);
+        seen.extend(&collect_predictions(model, &data.eval_synth));
+        let unseen = collect_predictions(model, &data.eval_geant2);
+        let med_re = |ev: &PairedEval| {
+            ev.delay_summary()
+                .expect("evaluation sets are non-empty")
+                .median_re
+        };
+        writeln!(
+            csv,
+            "{t},{dim},{},{:.4},{:.4}",
+            model.n_parameters(),
+            med_re(&seen),
+            med_re(&unseen)
+        )
+        .unwrap();
+        write!(times, " T={t}/dim={dim} {seconds:.1}").unwrap();
+    }
+    Some((csv, times))
+}
+
+/// Buffer of every link in the drops section, in packets.
+const DROPS_BUFFER_PKTS: usize = 5;
+
+/// A finite-buffer dataset at utilizations 0.7–1.1, so overload and drops
+/// are guaranteed, over 600 s simulated after a 60 s warm-up.
+fn drops_set(topology: TopologySpec, n: usize, seed: u64) -> Vec<Sample> {
+    let mut cfg = GenConfig::new(topology, n, seed);
+    cfg.sim.buffer_pkts = Some(DROPS_BUFFER_PKTS);
+    cfg.intensity_min = 0.7;
+    cfg.intensity_max = 1.1;
+    cfg.sim.duration_s = 600.0;
+    cfg.sim.warmup_s = 60.0;
+    generate_dataset(&cfg)
+}
+
+/// The drop-probability extension: a RouteNet with a drop head, trained with
+/// `cfg` on finite-buffer NSFNET samples, against M/M/1/K on seen NSFNET and
+/// unseen Geant2. The four set sizes are the protocol's. Returns the CSV and
+/// a summary line, or `None` when Ctrl-C stopped the training.
+fn drops(
+    protocol: &ProtocolConfig,
+    cfg: &TrainConfig,
+    control: &TrainControl,
+) -> Option<(String, String)> {
+    let base = protocol.seed.wrapping_mul(1_000_000);
+    let nsfnet = |n, offset| drops_set(TopologySpec::Nsfnet, n, base.wrapping_add(offset));
+    let train_set = nsfnet(protocol.train_per_topology, 0);
+    let val_set = nsfnet(protocol.val_per_topology, 500_000);
+    let eval_nsfnet = nsfnet(protocol.eval_per_topology, 600_000);
+    let eval_geant2 = drops_set(
+        TopologySpec::Geant2,
+        protocol.eval_geant2,
+        base.wrapping_add(700_000),
+    );
+    let labels: Vec<f64> = train_set
+        .iter()
+        .flat_map(|s| s.targets.iter().map(|t| t.drop_prob))
+        .collect();
+    let mean_drop = labels.iter().sum::<f64>() / labels.len() as f64;
+    eprintln!(
+        "# drops: training a drop-head RouteNet (mean training drop probability {mean_drop:.4})..."
+    );
+    let mut model = RouteNet::new(RouteNetConfig {
+        predict_drops: true,
+        ..RouteNetConfig::default()
+    });
+    let t0 = Instant::now();
+    let report = train_with_control(&mut model, &train_set, &val_set, cfg, control)
+        .unwrap_or_else(|e| panic!("drop-head training failed: {e}"));
+    if report.interrupted {
+        return None;
+    }
+    let seconds = t0.elapsed().as_secs_f64();
+    let mm1k = Mm1kBaseline {
+        buffer_pkts: DROPS_BUFFER_PKTS,
+        ..Mm1kBaseline::default()
+    };
+    let mut csv = String::from("eval_set,predictor,n,drop_mae,drop_r,delay_medRE\n");
+    for (name, set) in [
+        ("NSFNET-seen", &eval_nsfnet),
+        ("Geant2-UNSEEN", &eval_geant2),
+    ] {
+        for (pname, ev) in [
+            ("RouteNet", collect_predictions(&model, set)),
+            ("MM1K", collect_predictions(&mm1k, set)),
+        ] {
+            let (mae, r) = ev.drop_summary().expect("both predictors have drop heads");
+            let d = ev.delay_summary().expect("evaluation sets are non-empty");
+            writeln!(
+                csv,
+                "{name},{pname},{},{mae:.5},{r:.4},{:.4}",
+                ev.len(),
+                d.median_re
+            )
+            .unwrap();
+        }
+    }
+    let line = format!(
+        "drops: K={DROPS_BUFFER_PKTS} mean training drop probability {mean_drop:.4}, train {seconds:.1}s"
+    );
+    Some((csv, line))
 }

@@ -71,7 +71,7 @@ fn run_client(
     let mut next = 0usize;
     let mut line = String::new();
     while results.len() < ids.len() {
-        while next < ids.len() && sent.len() < window.max(1) {
+        while next < ids.len() && sent.len() < window {
             let id = ids[next];
             #[expect(
                 clippy::cast_possible_truncation,
@@ -136,9 +136,9 @@ fn main() {
     let (Some(data_path), Some(out_path)) = (args.get("data"), args.get("out")) else {
         usage_exit(USAGE, "--data and --out are required");
     };
-    let repeat = args.get_or("repeat", 1usize).max(1);
-    let concurrency = args.get_or("concurrency", 4usize).max(1);
-    let window = args.get_or("window", 4usize);
+    let repeat = args.get_at_least("repeat", 1, 1);
+    let concurrency = args.get_at_least("concurrency", 4, 1);
+    let window = args.get_at_least("window", 4, 1);
     let queries = corpus(data_path, repeat);
 
     if args.get("offline").is_some() {

@@ -28,8 +28,9 @@ fn main() {
     };
     let lenient = args.get("lenient").is_some();
     let out = args.get("out").unwrap_or("model.json").to_string();
-    // Every number parses before the telemetry log is created, so a bad
-    // value exits 2 without writing a file.
+    // Every number parses and the training values validate before the
+    // telemetry log is created, so a bad value exits 2 without writing a
+    // file.
     let dim = args.get_at_least("dim", 16, 2);
     let t_iterations = args.get_at_least("t-iterations", 4, 1);
     let model_cfg = RouteNetConfig {
@@ -51,6 +52,8 @@ fn main() {
         resume_from: args.get("resume-from").map(str::to_string),
         ..TrainConfig::default()
     };
+    cfg.validate()
+        .unwrap_or_else(|e| usage_exit(USAGE, &e.to_string()));
     // Telemetry log rides next to the model artifact; `--no-telemetry` opts
     // out (e.g. when the output directory is read-only).
     let tel = if args.get("no-telemetry").is_some() {

@@ -5,11 +5,8 @@
 //!
 //! | Binary   | Paper artifact |
 //! |----------|----------------|
-//! | `report` | Figs. 2–4 and Table 1 from one trained model: `results/fig2.csv` (predicted vs. true delay, Geant2 sample), `fig3.csv` (relative-error CDFs per topology), `fig4.csv` (Top-10 paths with more delay), `table1.txt` (RouteNet vs M/M/1 vs FNN per topology), `summary.txt` |
+//! | `report` | Every published table from one trained model: Figs. 2–4 and Table 1 (`results/fig2.csv` predicted vs. true delay on a Geant2 sample, `fig3.csv` relative-error CDFs per topology, `fig4.csv` Top-10 paths with more delay, `table1.txt` RouteNet vs M/M/1 vs FNN per topology), error vs topology size on fresh 10..=50-node graphs (`varsize.csv`), error vs T iterations and state width (`ablation.csv`), the drop-probability head vs M/M/1/K blocking (`drops.csv`), and `summary.txt` |
 //! | `cost`   | Inference vs packet-level simulation wall-clock, protocol and line-rate regimes (`results/cost.csv`) |
-//! | `ablation` | Error vs T iterations and state dims |
-//! | `varsize` | Error vs topology size on fresh 10..=50-node graphs |
-//! | `drops`  | Drop-probability head vs M/M/1/K blocking |
 //! | `gen-dataset` / `train-model` / `predict` / `simulate` | File-based dataset and model tooling |
 //! | `validate-telemetry` | Checks a `.telemetry.jsonl` log (`--log <jsonl>`) |
 //! | `routenet-serve` / `serve-loadgen` | The what-if daemon (`--model <path> --listen <addr>`) and its load generator / offline reference |
@@ -17,16 +14,15 @@
 //!
 //! Each binary declares its flags in one usage line and parses them with
 //! [`Args`], which rejects any other flag; `tests/cli.rs` pins that for
-//! every binary. The training binaries take
-//! `--scale <f>` (dataset-size multiplier), `--epochs <n>` and `--seed <n>`.
+//! every binary. `report` takes `--scale <f>` (dataset-size multiplier),
+//! `--epochs <n>` and `--seed <n>`.
 
 #![warn(missing_docs)]
 
 pub mod plot;
 
 use routenet_core::prelude::*;
-use routenet_dataset::split::{generate_paper_datasets, PaperDatasets, ProtocolConfig};
-use std::time::Instant;
+use routenet_dataset::split::ProtocolConfig;
 
 /// Strict CLI flag parser: `--key value` pairs and bare `--switch`es. The
 /// binary's usage line declares every key it reads, so a flag the binary
@@ -128,7 +124,8 @@ pub fn usage_exit(usage: &str, error: &str) -> ! {
 }
 
 /// Scaled paper protocol: `scale = 1.0` is the laptop default; the paper's
-/// full scale corresponds to roughly `scale = 5000`.
+/// full scale corresponds to roughly `scale = 5000`. `scale` must be finite
+/// and positive; every count rounds to at least 1.
 pub fn scaled_protocol(scale: f64, seed: u64) -> ProtocolConfig {
     let base = ProtocolConfig::default();
     #[expect(
@@ -145,92 +142,6 @@ pub fn scaled_protocol(scale: f64, seed: u64) -> ProtocolConfig {
         seed,
         ..base
     }
-}
-
-/// End-to-end experiment context shared by the experiment binaries: generated
-/// datasets plus a RouteNet trained per the paper's protocol.
-pub struct Experiment {
-    /// The generated datasets.
-    pub data: PaperDatasets,
-    /// The trained model.
-    pub model: RouteNet,
-    /// The training report.
-    pub report: TrainReport,
-    /// Wall-clock seconds spent generating data.
-    pub gen_seconds: f64,
-    /// Wall-clock seconds spent training.
-    pub train_seconds: f64,
-}
-
-/// Generate datasets and train RouteNet. `verbose` prints progress to stderr.
-pub fn run_experiment(
-    protocol: &ProtocolConfig,
-    model_cfg: RouteNetConfig,
-    train_cfg: &TrainConfig,
-    verbose: bool,
-) -> Result<Experiment, TrainError> {
-    run_experiment_with_control(
-        protocol,
-        model_cfg,
-        train_cfg,
-        verbose,
-        &TrainControl::new(),
-    )
-}
-
-/// [`run_experiment`] with a [`TrainControl`] so callers (e.g. binaries that
-/// install a Ctrl-C handler via [`interrupt::ctrl_c_control`]) can convert
-/// interruption into a clean checkpoint-and-exit.
-pub fn run_experiment_with_control(
-    protocol: &ProtocolConfig,
-    model_cfg: RouteNetConfig,
-    train_cfg: &TrainConfig,
-    verbose: bool,
-    control: &TrainControl,
-) -> Result<Experiment, TrainError> {
-    if verbose {
-        eprintln!(
-            "# generating datasets: {} train/topology, {} eval/topology, {} geant2",
-            protocol.train_per_topology, protocol.eval_per_topology, protocol.eval_geant2
-        );
-    }
-    // Single wiring point for the bins: the trainer's telemetry handle is
-    // threaded into dataset generation, so enabling telemetry on TrainConfig
-    // instruments the whole experiment.
-    let mut protocol = protocol.clone();
-    protocol.telemetry = train_cfg.telemetry.clone();
-    let t0 = Instant::now();
-    let data = generate_paper_datasets(&protocol);
-    let gen_seconds = t0.elapsed().as_secs_f64();
-    if verbose {
-        eprintln!("# generated in {gen_seconds:.1}s; training...");
-    }
-    let mut model = RouteNet::new(model_cfg);
-    let t1 = Instant::now();
-    let report = train_with_control(&mut model, &data.train, &data.val, train_cfg, control)?;
-    let train_seconds = t1.elapsed().as_secs_f64();
-    if verbose {
-        eprintln!(
-            "# trained in {train_seconds:.1}s; best epoch {} (loss {:.5})",
-            report.best_epoch, report.best_loss
-        );
-        if report.interrupted {
-            eprintln!("# training interrupted; state checkpointed at the last epoch boundary");
-        }
-        for r in &report.recoveries {
-            eprintln!(
-                "# recovered from {} at epoch {} (lr {:.2e} -> {:.2e})",
-                r.reason, r.epoch, r.lr_before, r.lr_after
-            );
-        }
-    }
-    Ok(Experiment {
-        data,
-        model,
-        report,
-        gen_seconds,
-        train_seconds,
-    })
 }
 
 /// Cooperative Ctrl-C handling for long-running training binaries: the

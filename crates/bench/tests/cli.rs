@@ -19,22 +19,10 @@ struct Bin {
 
 const BINS: &[Bin] = &[
     Bin {
-        name: "ablation",
-        exe: env!("CARGO_BIN_EXE_ablation"),
-        required: &[],
-        numeric: &["scale", "epochs", "seed"],
-    },
-    Bin {
         name: "cost",
         exe: env!("CARGO_BIN_EXE_cost"),
         required: &[],
         numeric: &["reps"],
-    },
-    Bin {
-        name: "drops",
-        exe: env!("CARGO_BIN_EXE_drops"),
-        required: &[],
-        numeric: &["samples", "epochs", "buffer", "seed"],
     },
     Bin {
         name: "gen-dataset",
@@ -104,12 +92,6 @@ const BINS: &[Bin] = &[
         exe: env!("CARGO_BIN_EXE_validate-telemetry"),
         required: &["--log", "/nonexistent"],
         numeric: &[],
-    },
-    Bin {
-        name: "varsize",
-        exe: env!("CARGO_BIN_EXE_varsize"),
-        required: &[],
-        numeric: &["scale", "epochs", "seed", "per-size"],
     },
 ];
 
@@ -210,14 +192,19 @@ const OUT_OF_RANGE: &[(&str, &[&str])] = &[
     ("simulate", &["--warmup", "500"]),
     ("train-model", &["--dim", "0"]),
     ("train-model", &["--t-iterations", "0"]),
-    ("varsize", &["--per-size", "0"]),
-    ("varsize", &["--epochs", "0"]),
-    ("ablation", &["--epochs", "0"]),
+    ("train-model", &["--epochs", "0"]),
+    ("train-model", &["--batch", "0"]),
+    ("train-model", &["--lr", "0"]),
+    ("train-model", &["--lr", "NaN"]),
     ("report", &["--epochs", "0"]),
-    ("drops", &["--samples", "0"]),
-    ("drops", &["--samples", "1"]),
-    ("drops", &["--buffer", "0"]),
-    ("drops", &["--epochs", "0"]),
+    ("report", &["--scale", "0"]),
+    ("report", &["--scale", "-1"]),
+    ("report", &["--scale", "NaN"]),
+    ("report", &["--scale", "inf"]),
+    ("cost", &["--reps", "0"]),
+    ("serve-loadgen", &["--repeat", "0"]),
+    ("serve-loadgen", &["--concurrency", "0"]),
+    ("serve-loadgen", &["--window", "0"]),
 ];
 
 #[test]

@@ -56,7 +56,8 @@ impl Default for RouteNetConfig {
     fn default() -> Self {
         // The paper reports tuning hyperparameters for larger topologies but
         // not the values; these defaults train in minutes on CPU while
-        // keeping the architecture intact. The ablation bench sweeps them.
+        // keeping the architecture intact. `report`'s ablation section sweeps
+        // T and the state width.
         RouteNetConfig {
             link_state_dim: 16,
             path_state_dim: 16,

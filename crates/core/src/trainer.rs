@@ -135,6 +135,55 @@ impl Default for TrainConfig {
     }
 }
 
+impl TrainConfig {
+    /// Reject a value the trainer cannot run with: a zero `batch_size` or
+    /// `epochs`, a non-finite or non-positive `lr`, and so on. [`train`]
+    /// calls it first, so a front-end can call it before it creates any
+    /// output.
+    pub fn validate(&self) -> Result<(), TrainError> {
+        let check = |ok: bool, msg: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(TrainError::InvalidConfig(msg.into()))
+            }
+        };
+        check(self.batch_size >= 1, "batch_size must be >= 1")?;
+        check(self.epochs >= 1, "epochs must be >= 1")?;
+        check(
+            self.lr.is_finite() && self.lr > 0.0,
+            "lr must be finite and positive",
+        )?;
+        check(
+            self.clip_norm.is_finite() && self.clip_norm > 0.0,
+            "clip_norm must be finite and positive",
+        )?;
+        check(
+            self.jitter_weight.is_finite() && self.jitter_weight >= 0.0,
+            "jitter_weight must be finite and non-negative",
+        )?;
+        check(
+            self.drop_weight.is_finite() && self.drop_weight >= 0.0,
+            "drop_weight must be finite and non-negative",
+        )?;
+        check(
+            self.lr_decay > 0.0 && self.lr_decay <= 1.0,
+            "lr_decay must be in (0, 1]",
+        )?;
+        check(
+            self.lr_backoff > 0.0 && self.lr_backoff < 1.0,
+            "lr_backoff must be in (0, 1)",
+        )?;
+        if let Some(f) = self.max_spike_factor {
+            check(
+                f.is_finite() && f > 0.0,
+                "max_spike_factor must be finite and positive",
+            )?;
+        }
+        Ok(())
+    }
+}
+
 /// Per-epoch record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpochStats {
@@ -466,49 +515,6 @@ fn batched_loss_values(
     out
 }
 
-fn validate_config(cfg: &TrainConfig) -> Result<(), TrainError> {
-    let check = |ok: bool, msg: &str| {
-        if ok {
-            Ok(())
-        } else {
-            Err(TrainError::InvalidConfig(msg.into()))
-        }
-    };
-    check(cfg.batch_size >= 1, "batch_size must be >= 1")?;
-    check(cfg.epochs >= 1, "epochs must be >= 1")?;
-    check(
-        cfg.lr.is_finite() && cfg.lr > 0.0,
-        "lr must be finite and positive",
-    )?;
-    check(
-        cfg.clip_norm.is_finite() && cfg.clip_norm > 0.0,
-        "clip_norm must be finite and positive",
-    )?;
-    check(
-        cfg.jitter_weight.is_finite() && cfg.jitter_weight >= 0.0,
-        "jitter_weight must be finite and non-negative",
-    )?;
-    check(
-        cfg.drop_weight.is_finite() && cfg.drop_weight >= 0.0,
-        "drop_weight must be finite and non-negative",
-    )?;
-    check(
-        cfg.lr_decay > 0.0 && cfg.lr_decay <= 1.0,
-        "lr_decay must be in (0, 1]",
-    )?;
-    check(
-        cfg.lr_backoff > 0.0 && cfg.lr_backoff < 1.0,
-        "lr_backoff must be in (0, 1)",
-    )?;
-    if let Some(f) = cfg.max_spike_factor {
-        check(
-            f.is_finite() && f > 0.0,
-            "max_spike_factor must be finite and positive",
-        )?;
-    }
-    Ok(())
-}
-
 /// Reject malformed samples up front — e.g. a scenario that routes no
 /// pairs, which would leave an empty loss segment — as a typed error.
 fn validate_samples(set: &'static str, samples: &[Sample]) -> Result<(), TrainError> {
@@ -611,7 +617,7 @@ pub fn train_with_control(
     cfg: &TrainConfig,
     control: &TrainControl,
 ) -> Result<TrainReport, TrainError> {
-    validate_config(cfg)?;
+    cfg.validate()?;
     if train_set.is_empty() {
         return Err(TrainError::EmptyTrainingSet);
     }

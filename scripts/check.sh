@@ -116,6 +116,12 @@ cargo build --release
 step "allocation counts (release)"
 cargo test -q --release --test alloc_counts
 
+# The pin on every published table's bytes (a tiny `report` run) trains
+# eight small models: 3 s in release, about 40 s in debug, where the test is
+# ignored. Debug and release write the same bytes, so it runs here.
+step "published-table pin (release)"
+cargo test -q --release -p routenet-bench --test report_pin
+
 step "cargo test --workspace"
 cargo test --workspace -q
 
